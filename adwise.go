@@ -107,9 +107,6 @@ var (
 	// GOMAXPROCS). Any shard count produces edge-for-edge identical
 	// assignments.
 	WithScoreWorkers = core.WithScoreWorkers
-	// WithPerEdgeRefill restores the serial one-edge-at-a-time window
-	// refill (ablation; identical assignments either way).
-	WithPerEdgeRefill = core.WithPerEdgeRefill
 	// WithRefillBatch caps how many edges one batched refill pass stages.
 	WithRefillBatch = core.WithRefillBatch
 	// WithVertexBudget caps the byte footprint of the vertex state; when
@@ -121,7 +118,8 @@ var (
 // ParseByteSize parses a human-readable byte size ("64MiB", "1.5g",
 // "4096") into bytes: the format of the CLI vertex-budget flags. Suffixes
 // are case-insensitive and binary (K = 1024); the empty string parses as
-// 0 (no budget).
+// 0 (no budget). Negative, non-finite and out-of-int64-range sizes are
+// errors.
 func ParseByteSize(s string) (int64, error) { return vcache.ParseBytes(s) }
 
 // FormatByteSize renders a byte count human-readably with binary units

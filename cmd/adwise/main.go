@@ -45,7 +45,6 @@ func run(args []string) error {
 		window     = fs.Int("window", 0, "ADWISE fixed window size (overrides -latency adaptation)")
 		workers    = fs.Int("score-workers", 0, "ADWISE window-scoring shard budget (0 = auto: GOMAXPROCS shards per instance on the shared work-stealing pool; explicit values are distributed across the -z instances)")
 		refillCap  = fs.Int("refill-batch", 0, "ADWISE refill staging cap: edges scored per batched refill pass (0 = default 2048; batch size never changes assignments)")
-		perEdge    = fs.Bool("per-edge-refill", false, "ADWISE serial one-edge-at-a-time window refill (ablation; identical assignments to batched refill)")
 		budgetStr  = fs.String("vcache-budget", "", "vertex-state byte budget, e.g. 64MiB or 1.5g (empty = unbounded); when exceeded, low-degree vertices are evicted HEP-style; divided across the -z instances")
 		z          = fs.Int("z", 1, "parallel partitioner instances")
 		spread     = fs.Int("spread", 0, "partitions per instance (default k/z)")
@@ -83,9 +82,6 @@ func run(args []string) error {
 	var refillOpts []adwise.Option
 	if *refillCap > 0 {
 		refillOpts = append(refillOpts, adwise.WithRefillBatch(*refillCap))
-	}
-	if *perEdge {
-		refillOpts = append(refillOpts, adwise.WithPerEdgeRefill())
 	}
 	budget, err := adwise.ParseByteSize(*budgetStr)
 	if err != nil {

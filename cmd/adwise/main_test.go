@@ -144,6 +144,7 @@ func TestRunErrors(t *testing.T) {
 		{"-in", "/nonexistent.txt"}, // unreadable graph
 		{"-in", path, "-k", "0"},    // bad k
 		{"-in", path, "-algo", "bogus"},
+		{"-in", path, "-vcache-budget", "1e30g"}, // budget outside int64
 	}
 	for _, args := range tests {
 		if err := run(args); err == nil {

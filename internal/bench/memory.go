@@ -17,9 +17,8 @@ import (
 // stay hot enough to survive every sweep.
 const memoryZipfExponent = 1.3
 
-// Memory measures the bounded vertex state: replication factor, peak
-// tracked cache bytes, evictions, and throughput as the byte budget
-// shrinks.
+// Memory measures the vertex-state table under a shrinking byte budget:
+// replication factor, peak tracked cache bytes, evictions, and throughput.
 //
 // The workload is a Zipf-skewed edge stream (~2M·scale edges) partitioned
 // by one ADWISE instance at a fixed 1024-edge window. The first run is
@@ -112,7 +111,7 @@ func Memory(cfg Config) (*Table, error) {
 		rf := metrics.Summarize(a).ReplicationDegree
 		// The budget may floor at the minimum table; the cache's own
 		// effective budget is authoritative for the envelope check.
-		effective := vcache.NewBounded(cfg.K, budget).Budget()
+		effective := vcache.New(cfg.K, budget).Budget()
 		if st.PeakCacheBytes > effective {
 			return nil, fmt.Errorf("bench: memory budget=%s: peak %s exceeds effective budget %s",
 				vcache.FormatBytes(budget), vcache.FormatBytes(st.PeakCacheBytes), vcache.FormatBytes(effective))

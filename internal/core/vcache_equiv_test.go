@@ -1,98 +1,115 @@
 package core
 
 import (
-	"math"
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"github.com/adwise-go/adwise/internal/gen"
 	"github.com/adwise-go/adwise/internal/metrics"
+	"github.com/adwise-go/adwise/internal/partition"
 	"github.com/adwise-go/adwise/internal/stream"
 	"github.com/adwise-go/adwise/internal/vcache"
 )
 
-// TestBoundedUnlimitedEquivalence is the vertex-state substitution
-// contract: with an effectively infinite budget the tombstone-aware
-// Bounded cache never evicts, so swapping it in for the unbounded Cache
-// must leave every assignment untouched — same edges, same order, same
-// partitions — across traversal mode (lazy/eager), score-worker count
-// {1, 2, 8}, and refill path (batched/per-edge). Run under -race in CI
-// this also drives the Bounded probe sequence through the sharded
-// scoring pool.
+// fingerprint is an FNV-64a hash of the (edge, partition) sequence of an
+// assignment: equal fingerprints mean the same edges assigned to the same
+// partitions in the same order.
+func fingerprint(a *metrics.Assignment) uint64 {
+	h := fnv.New64a()
+	var buf [12]byte
+	for i, e := range a.Edges {
+		binary.LittleEndian.PutUint32(buf[0:], uint32(e.Src))
+		binary.LittleEndian.PutUint32(buf[4:], uint32(e.Dst))
+		binary.LittleEndian.PutUint32(buf[8:], uint32(a.Parts[i]))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// TestBoundedUnlimitedEquivalence is the golden-fingerprint contract of
+// the unbounded vertex-state path: each run below, at the default budget
+// (0, unbounded), must reproduce the assignment fingerprint recorded from
+// the original unbounded table, which this budgeted table replaced. It
+// sweeps ADWISE traversal mode × refill path × score-worker count
+// {1, 2, 8}, and the single-edge strategies HDRF, DBH, Greedy, Grid and
+// Hash, all on one fixed RMAT graph. Run under -race in CI this also
+// drives the table probes through the sharded scoring pool. A changed
+// fingerprint means the change altered assignments; re-record only when
+// that is intended.
 func TestBoundedUnlimitedEquivalence(t *testing.T) {
 	all := equivalenceGraph(t)[:30_000]
-	compare := func(t *testing.T, ref, got *metrics.Assignment) {
-		t.Helper()
-		if got.Len() != ref.Len() {
-			t.Fatalf("bounded run assigned %d edges, cache reference %d", got.Len(), ref.Len())
-		}
-		for i := range ref.Edges {
-			if ref.Edges[i] != got.Edges[i] || ref.Parts[i] != got.Parts[i] {
-				t.Fatalf("diverged at assignment %d: cache %v→%d, bounded %v→%d",
-					i, ref.Edges[i], ref.Parts[i], got.Edges[i], got.Parts[i])
-			}
-		}
-	}
 
 	for _, mode := range []struct {
 		name  string
 		edges int
 		opts  []Option
+		want  uint64
 	}{
-		{"lazy/batched", len(all), nil},
-		{"lazy/per-edge", len(all), []Option{WithPerEdgeRefill()}},
-		// Eager rescoring is quadratic in the window per pop; a shorter
-		// prefix keeps the sweep affordable under -race.
-		{"eager/batched", 8_000, []Option{WithEagerTraversal()}},
+		{"lazy/batched", len(all), nil, 0x5c2f210f5fdaf95a},
+		{"lazy/per-edge", len(all), []Option{WithPerEdgeRefill()}, 0x5c2f210f5fdaf95a},
+		// Eager rescoring is quadratic in the window per pop; a
+		// shorter prefix keeps the sweep affordable under -race.
+		{"eager/batched", 8_000, []Option{WithEagerTraversal()}, 0xcbc12fd6a01e8f99},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			edges := all[:mode.edges]
-			run := func(opts ...Option) *metrics.Assignment {
-				t.Helper()
+			for _, workers := range []int{1, 2, 8} {
 				ad, err := New(8, append([]Option{
 					WithInitialWindow(256),
 					WithFixedWindow(),
 					WithMaxCandidates(256),
-				}, opts...)...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				a, err := ad.Run(stream.FromEdges(edges))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return a
-			}
-			ref := run(mode.opts...)
-			workerSweep := []int{1, 2, 8}
-			for _, workers := range workerSweep {
-				opts := append([]Option{
-					WithVertexBudget(math.MaxInt64),
 					WithScoreWorkers(workers),
-				}, mode.opts...)
-				ad, err := New(8, append([]Option{
-					WithInitialWindow(256),
-					WithFixedWindow(),
-					WithMaxCandidates(256),
-				}, opts...)...)
+				}, mode.opts...)...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, ok := ad.Cache().(*vcache.Bounded); !ok {
-					t.Fatalf("WithVertexBudget did not select the Bounded cache (got %T)", ad.Cache())
-				}
-				a, err := ad.Run(stream.FromEdges(edges))
+				a, err := ad.Run(stream.FromEdges(all[:mode.edges]))
 				if err != nil {
 					t.Fatal(err)
 				}
-				compare(t, ref, a)
+				if got := fingerprint(a); got != mode.want {
+					t.Errorf("workers=%d: fingerprint %#016x, want %#016x", workers, got, mode.want)
+				}
 				st := ad.Stats()
 				if st.EvictedVertices != 0 {
-					t.Fatalf("workers=%d: unlimited budget evicted %d vertices", workers, st.EvictedVertices)
+					t.Fatalf("workers=%d: unbounded run evicted %d vertices", workers, st.EvictedVertices)
 				}
 				if st.PeakCacheBytes == 0 || st.CacheBytes == 0 {
 					t.Fatalf("workers=%d: cache byte stats not reported (bytes=%d peak=%d)",
 						workers, st.CacheBytes, st.PeakCacheBytes)
 				}
+			}
+		})
+	}
+
+	cfg := partition.Config{K: 8, Seed: 42}
+	for _, tc := range []struct {
+		name string
+		mk   func() (partition.Partitioner, error)
+		want uint64
+	}{
+		{"hdrf", func() (partition.Partitioner, error) {
+			return partition.NewHDRF(cfg, partition.HDRFDefaultLambda)
+		}, 0x689c59559efafef0},
+		{"dbh", func() (partition.Partitioner, error) { return partition.NewDBH(cfg) }, 0x831d19b637cd589c},
+		{"greedy", func() (partition.Partitioner, error) { return partition.NewGreedy(cfg) }, 0x870a9eb1f31482cd},
+		{"grid", func() (partition.Partitioner, error) { return partition.NewGrid(cfg) }, 0x964ddd925aea13b3},
+		{"hash", func() (partition.Partitioner, error) { return partition.NewHash(cfg) }, 0xe605f266b587539e},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := tc.mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := partition.Run(stream.FromEdges(all), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fingerprint(a); got != tc.want {
+				t.Errorf("fingerprint %#016x, want %#016x", got, tc.want)
+			}
+			if ev := p.Cache().EvictedVertices(); ev != 0 {
+				t.Fatalf("unbounded run evicted %d vertices", ev)
 			}
 		})
 	}
@@ -143,7 +160,7 @@ func TestBoundedEighthBudgetDegradation(t *testing.T) {
 	if a.Len() != refA.Len() {
 		t.Fatalf("bounded run assigned %d edges, unbounded %d", a.Len(), refA.Len())
 	}
-	effective := vcache.NewBounded(8, budget).Budget()
+	effective := vcache.New(8, budget).Budget()
 	if st.PeakCacheBytes > effective {
 		t.Fatalf("peak %d exceeds effective budget %d", st.PeakCacheBytes, effective)
 	}

@@ -45,9 +45,11 @@ type Spec struct {
 	// Any value yields identical assignments.
 	ScoreWorkers int
 	// VertexBudgetBytes caps the byte footprint of the instance's vertex
-	// state; 0 keeps the unbounded cache. Under the spotlight conveniences
-	// a run-level budget is divided across the z instances
-	// (splitVertexBudget), since all z caches coexist for the run.
+	// state; 0 leaves it unbounded, and a positive budget makes the table
+	// evict low-degree vertices instead of outgrowing it (see
+	// core.WithVertexBudget). Under the spotlight conveniences a run-level
+	// budget is divided across the z instances (splitVertexBudget), since
+	// all z caches coexist for the run.
 	VertexBudgetBytes int64
 	// Options are extra ADWISE options applied after the Spec-derived
 	// ones (clustering toggles, clock substitution, ...).

@@ -2,6 +2,7 @@ package vcache
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -23,7 +24,8 @@ var byteUnits = []struct {
 
 // ParseBytes parses a human-readable byte size ("64MiB", "1.5g", "4096")
 // into bytes. A bare number is bytes; suffixes are case-insensitive and
-// binary (K=1024). The empty string parses as 0 (no budget).
+// binary (K=1024). The empty string parses as 0 (no budget). Negative,
+// non-finite, and out-of-int64-range sizes are errors.
 func ParseBytes(s string) (int64, error) {
 	t := strings.TrimSpace(strings.ToLower(s))
 	if t == "" {
@@ -38,10 +40,13 @@ func ParseBytes(s string) (int64, error) {
 		}
 	}
 	v, err := strconv.ParseFloat(t, 64)
-	if err != nil || v < 0 {
+	n := v * float64(mult)
+	// NaN fails every comparison, and float64(math.MaxInt64) rounds up to
+	// 2^63, the first value int64 cannot hold.
+	if err != nil || !(n >= 0 && n < math.MaxInt64) {
 		return 0, fmt.Errorf("vcache: invalid byte size %q", s)
 	}
-	return int64(v * float64(mult)), nil
+	return int64(n), nil
 }
 
 // FormatBytes renders a byte count human-readably with binary units

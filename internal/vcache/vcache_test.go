@@ -4,21 +4,20 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/adwise-go/adwise/internal/bitset"
 	"github.com/adwise-go/adwise/internal/graph"
 )
 
 func TestNewPanicsOnBadK(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("New(0) did not panic")
+			t.Error("New(0, 0) did not panic")
 		}
 	}()
-	New(0)
+	New(0, 0)
 }
 
 func TestAssignTracksReplicasAndDegrees(t *testing.T) {
-	c := New(4)
+	c := New(4, 0)
 	e := graph.Edge{Src: 1, Dst: 2}
 
 	newSrc, newDst := c.Assign(e, 0)
@@ -37,11 +36,12 @@ func TestAssignTracksReplicasAndDegrees(t *testing.T) {
 	if got := c.Degree(1); got != 3 {
 		t.Errorf("Degree(1) = %d, want 3", got)
 	}
-	if got := c.ReplicaCount(1); got != 2 {
-		t.Errorf("ReplicaCount(1) = %d, want 2", got)
+	reps := c.Replicas(1)
+	if got := reps.Count(); got != 2 {
+		t.Errorf("|Replicas(1)| = %d, want 2", got)
 	}
-	if !c.HasReplica(1, 0) || !c.HasReplica(1, 3) || c.HasReplica(1, 2) {
-		t.Error("HasReplica wrong")
+	if !reps.Contains(0) || !reps.Contains(3) || reps.Contains(2) {
+		t.Errorf("Replicas(1) = %v, want {0, 3}", reps)
 	}
 	if got := c.Assigned(); got != 3 {
 		t.Errorf("Assigned = %d, want 3", got)
@@ -55,7 +55,7 @@ func TestAssignTracksReplicasAndDegrees(t *testing.T) {
 }
 
 func TestAssignSelfLoop(t *testing.T) {
-	c := New(2)
+	c := New(2, 0)
 	newSrc, newDst := c.Assign(graph.Edge{Src: 5, Dst: 5}, 1)
 	if !newSrc {
 		t.Error("self-loop src replica not created")
@@ -69,7 +69,7 @@ func TestAssignSelfLoop(t *testing.T) {
 }
 
 func TestAssignPanicsOutOfRange(t *testing.T) {
-	c := New(2)
+	c := New(2, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("Assign to partition 2 of [0,2) did not panic")
@@ -79,15 +79,9 @@ func TestAssignPanicsOutOfRange(t *testing.T) {
 }
 
 func TestUnknownVertexDefaults(t *testing.T) {
-	c := New(3)
-	if c.Known(9) {
-		t.Error("Known(9) = true on empty cache")
-	}
+	c := New(3, 0)
 	if got := c.Degree(9); got != 0 {
 		t.Errorf("Degree(9) = %d, want 0", got)
-	}
-	if got := c.ReplicaCount(9); got != 0 {
-		t.Errorf("ReplicaCount(9) = %d, want 0", got)
 	}
 	if !c.Replicas(9).Empty() {
 		t.Error("Replicas(9) not empty")
@@ -96,40 +90,51 @@ func TestUnknownVertexDefaults(t *testing.T) {
 	if deg != 0 || !reps.Empty() {
 		t.Error("Lookup(9) nonzero")
 	}
+	if deg, words := c.LookupWords(9); deg != 0 || words != nil {
+		t.Errorf("LookupWords(9) = (%d, %v), want (0, nil)", deg, words)
+	}
 	if got := c.MaxDegree(); got != 1 {
 		t.Errorf("MaxDegree on empty cache = %d, want 1 (normaliser floor)", got)
 	}
 }
 
+// TestSizesAndImbalance checks the partition sizes and the extrema the
+// balance terms read: ι = (max−min)/max of Eq. 4 over all partitions, and
+// the extrema restricted to a spotlight spread.
 func TestSizesAndImbalance(t *testing.T) {
-	c := New(3)
+	all := []int{0, 1, 2}
+	c := New(3, 0)
 	c.Assign(graph.Edge{Src: 0, Dst: 1}, 0)
 	c.Assign(graph.Edge{Src: 1, Dst: 2}, 0)
 	c.Assign(graph.Edge{Src: 2, Dst: 3}, 1)
 
-	min, max := c.MinMaxSize()
+	for p, want := range []int64{2, 1, 0} {
+		if got := c.Size(p); got != want {
+			t.Errorf("Size(%d) = %d, want %d", p, got, want)
+		}
+	}
+	min, max := c.MinMaxSizeOf(all)
 	if min != 0 || max != 2 {
-		t.Errorf("MinMaxSize = %d,%d want 0,2", min, max)
+		t.Errorf("MinMaxSizeOf([0,1,2]) = %d,%d want 0,2", min, max)
 	}
-	if got := c.Imbalance(); got != 1.0 {
-		t.Errorf("Imbalance = %v, want 1.0", got)
+	if got := float64(max-min) / float64(max); got != 1.0 {
+		t.Errorf("imbalance = %v, want 1.0", got)
 	}
-	min, max = c.MinMaxSizeOf([]int{0, 1})
-	if min != 1 || max != 2 {
+	if min, max := c.MinMaxSizeOf([]int{0, 1}); min != 1 || max != 2 {
 		t.Errorf("MinMaxSizeOf([0,1]) = %d,%d want 1,2", min, max)
 	}
-	sizes := c.Sizes()
-	if sizes[0] != 2 || sizes[1] != 1 || sizes[2] != 0 {
-		t.Errorf("Sizes = %v", sizes)
-	}
-	sizes[0] = 99
-	if c.Size(0) != 2 {
-		t.Error("Sizes returned aliased storage")
+}
+
+// TestImbalanceEmptyCache checks that an empty cache reports zero for
+// both extrema, so ι = (max−min)/max is taken as 0 rather than 0/0.
+func TestImbalanceEmptyCache(t *testing.T) {
+	if min, max := New(4, 0).MinMaxSizeOf([]int{0, 1, 2, 3}); min != 0 || max != 0 {
+		t.Errorf("MinMaxSizeOf on empty cache = %d,%d want 0,0", min, max)
 	}
 }
 
 func TestMinMaxSizeOfEmptyPanics(t *testing.T) {
-	c := New(2)
+	c := New(2, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("MinMaxSizeOf(nil) did not panic")
@@ -138,14 +143,8 @@ func TestMinMaxSizeOfEmptyPanics(t *testing.T) {
 	c.MinMaxSizeOf(nil)
 }
 
-func TestImbalanceEmptyCache(t *testing.T) {
-	if got := New(4).Imbalance(); got != 0 {
-		t.Errorf("Imbalance on empty cache = %v, want 0", got)
-	}
-}
-
 func TestReplicationDegree(t *testing.T) {
-	c := New(4)
+	c := New(4, 0)
 	if got := c.ReplicationDegree(); got != 0 {
 		t.Errorf("ReplicationDegree on empty = %v", got)
 	}
@@ -160,31 +159,12 @@ func TestReplicationDegree(t *testing.T) {
 	}
 }
 
-func TestForEachVertex(t *testing.T) {
-	c := New(2)
-	c.Assign(graph.Edge{Src: 0, Dst: 1}, 0)
-	c.Assign(graph.Edge{Src: 1, Dst: 2}, 1)
-	seen := make(map[graph.VertexID]int)
-	c.ForEachVertex(func(v graph.VertexID, replicas bitset.Set) {
-		seen[v] = replicas.Count()
-	})
-	want := map[graph.VertexID]int{0: 1, 1: 2, 2: 1}
-	if len(seen) != len(want) {
-		t.Fatalf("visited %v, want %v", seen, want)
-	}
-	for v, c := range want {
-		if seen[v] != c {
-			t.Errorf("vertex %d: %d replicas, want %d", v, seen[v], c)
-		}
-	}
-}
-
 // Property: after any assignment sequence, Σ partition sizes == Assigned
 // and MaxDegree >= every vertex degree.
 func TestQuickCacheInvariants(t *testing.T) {
 	f := func(pairs []uint16) bool {
 		const k = 8
-		c := New(k)
+		c := New(k, 0)
 		for i, pr := range pairs {
 			e := graph.Edge{
 				Src: graph.VertexID(pr % 50),
@@ -199,13 +179,12 @@ func TestQuickCacheInvariants(t *testing.T) {
 		if total != c.Assigned() {
 			return false
 		}
-		okDeg := true
-		c.ForEachVertex(func(v graph.VertexID, _ bitset.Set) {
+		for v := graph.VertexID(0); v < 50; v++ {
 			if c.Degree(v) > c.MaxDegree() {
-				okDeg = false
+				return false
 			}
-		})
-		return okDeg
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -217,7 +196,7 @@ func TestQuickCacheInvariants(t *testing.T) {
 // aggregates survive the rehashes.
 func TestGrowthPreservesState(t *testing.T) {
 	const k, n = 8, 10_000
-	c := New(k)
+	c := New(k, 0)
 	for i := 0; i < n; i++ {
 		e := graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID(i + 1)}
 		c.Assign(e, i%k)
@@ -233,7 +212,7 @@ func TestGrowthPreservesState(t *testing.T) {
 		if got := c.Degree(graph.VertexID(v)); got != 2 {
 			t.Errorf("Degree(%d) = %d, want 2", v, got)
 		}
-		if !c.HasReplica(graph.VertexID(v), v%k) || !c.HasReplica(graph.VertexID(v), (v-1)%k) {
+		if reps := c.Replicas(graph.VertexID(v)); !reps.Contains(v%k) || !reps.Contains((v-1)%k) {
 			t.Errorf("vertex %d lost a replica across growth", v)
 		}
 	}
@@ -252,7 +231,7 @@ func TestGrowthPreservesState(t *testing.T) {
 // one-word/multi-word bitmap boundary.
 func TestLookupWordsMatchesLookup(t *testing.T) {
 	for _, k := range []int{3, 64, 130} {
-		c := New(k)
+		c := New(k, 0)
 		for i := 0; i < 5_000; i++ {
 			e := graph.Edge{Src: graph.VertexID(i % 700), Dst: graph.VertexID((i * 37) % 700)}
 			c.Assign(e, (i*13)%k)
