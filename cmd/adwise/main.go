@@ -44,7 +44,6 @@ func run(args []string) error {
 		latency    = fs.Duration("latency", 0, "ADWISE latency preference L (0 = single-edge behaviour)")
 		window     = fs.Int("window", 0, "ADWISE fixed window size (overrides -latency adaptation)")
 		workers    = fs.Int("score-workers", 0, "ADWISE window-scoring shard budget (0 = auto: GOMAXPROCS shards per instance on the shared work-stealing pool; explicit values are distributed across the -z instances)")
-		refillCap  = fs.Int("refill-batch", 0, "ADWISE refill staging cap: edges scored per batched refill pass (0 = default 2048; batch size never changes assignments)")
 		budgetStr  = fs.String("vcache-budget", "", "vertex-state byte budget, e.g. 64MiB or 1.5g (empty = unbounded); when exceeded, low-degree vertices are evicted HEP-style; divided across the -z instances")
 		z          = fs.Int("z", 1, "parallel partitioner instances")
 		spread     = fs.Int("spread", 0, "partitions per instance (default k/z)")
@@ -79,17 +78,13 @@ func run(args []string) error {
 		defer flusher.Stop()
 	}
 
-	var refillOpts []adwise.Option
-	if *refillCap > 0 {
-		refillOpts = append(refillOpts, adwise.WithRefillBatch(*refillCap))
-	}
 	budget, err := adwise.ParseByteSize(*budgetStr)
 	if err != nil {
 		return fmt.Errorf("invalid -vcache-budget: %w", err)
 	}
 
 	start := time.Now()
-	a, err := partitionInput(*in, *algo, *k, *z, *spread, *seed, *latency, *window, *workers, budget, refillOpts, reg)
+	a, err := partitionInput(*in, *algo, *k, *z, *spread, *seed, *latency, *window, *workers, budget, reg)
 	if err != nil {
 		return err
 	}
@@ -119,8 +114,8 @@ func run(args []string) error {
 	return nil
 }
 
-func partitionInput(in, algo string, k, z, spread int, seed uint64, latency time.Duration, window, workers int, budget int64, opts []adwise.Option, reg *adwise.MetricRegistry) (*adwise.Assignment, error) {
-	spec := adwise.StrategySpec{K: k, Seed: seed, Latency: latency, Window: window, ScoreWorkers: workers, VertexBudgetBytes: budget, Options: opts, Metrics: reg}
+func partitionInput(in, algo string, k, z, spread int, seed uint64, latency time.Duration, window, workers int, budget int64, reg *adwise.MetricRegistry) (*adwise.Assignment, error) {
+	spec := adwise.StrategySpec{K: k, Seed: seed, Latency: latency, Window: window, ScoreWorkers: workers, VertexBudgetBytes: budget, Metrics: reg}
 	if z > 1 {
 		if spread == 0 {
 			spread = k / z

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/adwise-go/adwise/internal/clock"
-	"github.com/adwise-go/adwise/internal/graph"
 	"github.com/adwise-go/adwise/internal/metric"
 	"github.com/adwise-go/adwise/internal/metrics"
 	"github.com/adwise-go/adwise/internal/scorepool"
@@ -24,11 +23,6 @@ const (
 	DefaultInitialLambda = 1.0
 	DefaultMaxWindow     = 1 << 14
 	DefaultMaxCandidates = 64
-	// DefaultRefillBatch caps how many fresh edges one refill pass stages
-	// and scores together. Large enough that a full-deficit refill of the
-	// default window amortises the pool dispatch; small enough that the
-	// staging buffer stays cache-resident.
-	DefaultRefillBatch = 2048
 )
 
 type config struct {
@@ -46,14 +40,10 @@ type config struct {
 	maxWindow     int
 	fixedWindow   bool // disable adaptation (ablation)
 	maxCandidates int
-	lazy          bool  // lazy window traversal; eager rescans everything (ablation)
-	totalEdges    int64 // m hint when the stream cannot report it
-	scoreWorkers  int   // window-scoring logical shards; 0 = auto (GOMAXPROCS)
-	perEdgeRefill bool  // serial one-edge-at-a-time refill (reference/ablation)
-	refillBatch   int   // refill staging cap; 0 = DefaultRefillBatch
-	vertexBudget  int64 // vertex-state byte budget; 0 = unbounded cache
-	pool          *scorepool.Pool
-	poolSet       bool             // WithScorePool was used (nil is a meaningful value)
+	lazy          bool             // lazy window traversal; eager rescans everything (ablation)
+	totalEdges    int64            // m hint when the stream cannot report it
+	scoreWorkers  int              // window-scoring logical shards; 0 = auto (GOMAXPROCS)
+	vertexBudget  int64            // vertex-state byte budget; 0 = unbounded cache
 	metrics       *metric.Registry // nil → no telemetry published
 }
 
@@ -150,7 +140,7 @@ func WithTotalEdgesHint(m int64) Option {
 // passes (candidate rescores, secondary rescans, cached-score scans) are
 // split into. 0 (the default) resolves to GOMAXPROCS at construction;
 // 1 forces fully serial scoring. Shards execute on the process-wide
-// work-stealing pool (see WithScorePool), so under parallel loading the
+// work-stealing pool (scorepool.Shared), so under parallel loading the
 // machine's cores flow to whichever instance has work — there is no need
 // to divide cores among instances. Any shard count produces edge-for-edge
 // identical assignments — sharding uses fixed boundaries and a
@@ -158,23 +148,6 @@ func WithTotalEdgesHint(m int64) Option {
 // wall-clock for cores.
 func WithScoreWorkers(n int) Option {
 	return func(c *config) { c.scoreWorkers = n }
-}
-
-// WithPerEdgeRefill restores the serial refill: the window draws one edge
-// at a time and scores it on the submitting goroutine. The default scores
-// each refill batch as one pool pass; the two paths are edge-for-edge
-// identical (the equivalence the refill property tests pin down), so this
-// knob exists for ablation and as the reference in those tests, not as a
-// correctness escape hatch.
-func WithPerEdgeRefill() Option {
-	return func(c *config) { c.perEdgeRefill = true }
-}
-
-// WithRefillBatch caps how many fresh edges one batched refill pass
-// stages and scores together (default DefaultRefillBatch). Smaller caps
-// bound staging memory; the batch boundary can never change assignments.
-func WithRefillBatch(n int) Option {
-	return func(c *config) { c.refillBatch = n }
 }
 
 // WithVertexBudget caps the byte footprint of the vertex state. The
@@ -188,18 +161,6 @@ func WithRefillBatch(n int) Option {
 // remain deterministic.
 func WithVertexBudget(bytes int64) Option {
 	return func(c *config) { c.vertexBudget = bytes }
-}
-
-// WithScorePool overrides the pool scoring shards execute on. The default
-// (when more than one shard is configured) is the process-wide shared
-// work-stealing pool, scorepool.Shared(). Passing nil forces every pass
-// inline on the caller regardless of the shard count; passing a private
-// pool pins the instance to that pool's workers — the bench harness uses
-// this to reproduce the historical static cores/z split for comparison.
-// Determinism is unaffected either way: pool choice, like worker count,
-// can never change assignments.
-func WithScorePool(p *scorepool.Pool) Option {
-	return func(c *config) { c.pool, c.poolSet = p, true }
 }
 
 // Adwise is the ADWISE streaming partitioner. An instance carries the
@@ -254,13 +215,9 @@ type RunStats struct {
 	// attribute ops to the instance even when a shared pool executed them.
 	// Serial one-edge rescores are accounted to ScoreComputations only.
 	WorkerScoreOps []int64
-	// RefillPasses counts batched window refills (one staged batch scored
-	// and inserted per pass); zero under WithPerEdgeRefill.
+	// RefillPasses counts window refills that inserted at least one edge
+	// (one per assignment in steady state, plus the initial fill).
 	RefillPasses int64
-	// BatchedAdds counts edges that entered the window through batched
-	// refill passes; under the default refill this equals Assignments on a
-	// clean run, and zero under WithPerEdgeRefill.
-	BatchedAdds int64
 	// EvictedVertices counts vertex-state evictions under WithVertexBudget
 	// (0 on the unbounded default).
 	EvictedVertices int64
@@ -320,9 +277,6 @@ func New(k int, opts ...Option) (*Adwise, error) {
 	if cfg.scoreWorkers < 0 {
 		return nil, fmt.Errorf("core: score workers must be >= 0 (0 = auto), got %d", cfg.scoreWorkers)
 	}
-	if cfg.refillBatch < 0 {
-		return nil, fmt.Errorf("core: refill batch must be >= 0 (0 = default), got %d", cfg.refillBatch)
-	}
 	parts := cfg.allowed
 	if len(parts) == 0 {
 		parts = make([]int, k)
@@ -341,8 +295,8 @@ func New(k int, opts ...Option) (*Adwise, error) {
 	if shards == 0 {
 		shards = gort.GOMAXPROCS(0)
 	}
-	execPool := cfg.pool
-	if !cfg.poolSet && shards > 1 {
+	var execPool *scorepool.Pool
+	if shards > 1 {
 		execPool = scorepool.Shared()
 	}
 	pool := newScorePool(execPool, shards, k, len(parts))
@@ -426,68 +380,20 @@ func (a *Adwise) Run(s stream.Stream) (*metrics.Assignment, error) {
 		totalScoreSum float64
 	)
 
-	// Refill is two-phase by default: drain the window deficit from the
-	// buffered stream in one NextBatch sweep, score the whole batch as a
-	// single pool pass (window.addBatch), then classify/insert serially in
-	// stream order. WithPerEdgeRefill keeps the historical one-edge loop;
-	// both paths are edge-for-edge identical.
-	batchCap := a.cfg.refillBatch
-	if batchCap <= 0 {
-		batchCap = DefaultRefillBatch
-	}
-	var refillBuf []graph.Edge
-	if !a.cfg.perEdgeRefill {
-		refillBuf = make([]graph.Edge, batchCap)
-	}
-	var mRefillPasses, mBatchedAdds *metric.Counter
-	var mBatchSize *metric.Gauge
-	if a.cfg.metrics != nil {
-		mRefillPasses = a.cfg.metrics.Counter(MetricRefillPasses)
-		mBatchedAdds = a.cfg.metrics.Counter(MetricRefillBatchedAdds)
-		mBatchSize = a.cfg.metrics.Gauge(MetricRefillBatchSize)
-	}
-
+	// Refill tops the window up to w one edge at a time (Algorithm 1),
+	// drawing from the buffered stream.
 	refill := func() {
-		if a.cfg.perEdgeRefill {
-			for a.win.len() < w {
-				e, ok := src.Next()
-				if !ok {
-					return
-				}
-				a.win.add(e)
-			}
-			return
-		}
+		added := false
 		for a.win.len() < w {
-			d := w - a.win.len()
-			if d > batchCap {
-				d = batchCap
+			e, ok := src.Next()
+			if !ok {
+				break
 			}
-			buf := refillBuf[:d]
-			filled := 0
-			for filled < d {
-				n := src.NextBatch(buf[filled:])
-				if n == 0 {
-					break
-				}
-				filled += n
-			}
-			if filled == 0 {
-				return
-			}
-			a.win.addBatch(buf[:filled])
+			a.win.add(e)
+			added = true
+		}
+		if added {
 			a.stats.RefillPasses++
-			a.stats.BatchedAdds += int64(filled)
-			if mRefillPasses != nil {
-				mRefillPasses.Inc(1)
-				mBatchedAdds.Inc(int64(filled))
-				mBatchSize.Set(int64(filled))
-			}
-			if filled < d {
-				// Short batch: the stream is exhausted (or failed — Err is
-				// checked after the window drains).
-				return
-			}
 		}
 	}
 

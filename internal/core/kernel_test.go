@@ -45,7 +45,7 @@ func TestScoreEdgeKernelZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkScoreEdgeKernel measures one scoring evaluation on a warm
-// cache — the per-edge cost every refill batch and rescore pass pays.
+// cache — the per-edge cost every window add and rescore pass pays.
 func BenchmarkScoreEdgeKernel(b *testing.B) {
 	for _, bc := range []struct {
 		name       string

@@ -8,9 +8,26 @@ import (
 	"github.com/adwise-go/adwise/internal/stream"
 )
 
-// runRefill runs one fixed-window ADWISE pass over edges with the given
-// refill configuration and returns the assignment and run stats.
-func runRefill(t *testing.T, edges []graph.Edge, window, workers, batch int, eager, perEdge bool) (*metrics.Assignment, RunStats) {
+// nextOnlyStream hides the inner stream's NextBatch, so the refill's
+// buffered stream falls back to one Next per edge.
+type nextOnlyStream struct{ inner stream.Stream }
+
+func (n *nextOnlyStream) Next() (graph.Edge, bool) { return n.inner.Next() }
+func (n *nextOnlyStream) Remaining() int64         { return n.inner.Remaining() }
+
+// refillSources are the two stream kinds the refill must treat alike: a
+// batch-capable in-memory stream and a Next-only wrapper around one.
+var refillSources = []struct {
+	name string
+	mk   func([]graph.Edge) stream.Stream
+}{
+	{"batch", func(e []graph.Edge) stream.Stream { return stream.FromEdges(e) }},
+	{"next-only", func(e []graph.Edge) stream.Stream { return &nextOnlyStream{inner: stream.FromEdges(e)} }},
+}
+
+// runRefill runs one fixed-window ADWISE pass over s and returns the
+// assignment and run stats.
+func runRefill(t *testing.T, s stream.Stream, window, workers int, eager bool) (*metrics.Assignment, RunStats) {
 	t.Helper()
 	opts := []Option{
 		WithInitialWindow(window),
@@ -21,21 +38,25 @@ func runRefill(t *testing.T, edges []graph.Edge, window, workers, batch int, eag
 	if eager {
 		opts = append(opts, WithEagerTraversal())
 	}
-	if perEdge {
-		opts = append(opts, WithPerEdgeRefill())
-	}
-	if batch > 0 {
-		opts = append(opts, WithRefillBatch(batch))
-	}
 	ad, err := New(8, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := ad.Run(stream.FromEdges(edges))
+	a, err := ad.Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return a, ad.Stats()
+}
+
+// wantRefillPasses is the refill-call count of a fixed window over n
+// edges: the initial fill, then one single-edge top-up per pop while the
+// stream lasts.
+func wantRefillPasses(n, window int) int64 {
+	if n <= window {
+		return 1
+	}
+	return int64(1 + n - window)
 }
 
 // requireSameAssignments fails unless a and b assigned the same edges to
@@ -53,15 +74,13 @@ func requireSameAssignments(t *testing.T, label string, a, b *metrics.Assignment
 	}
 }
 
-// TestBatchedRefillMatchesPerEdge is the two-phase refill equivalence
-// property: staging the window deficit and scoring it as one pool pass
-// must produce edge-for-edge identical assignments to the historical
-// per-edge refill — across lazy and eager traversal, every tested worker
-// count, and batch caps that force refill batches to break mid-deficit.
-// The clustering score is on (the default), so the intra-batch conflict
-// path — edges sharing an endpoint with an earlier batch edge — is
-// exercised heavily by the skewed RMAT stream. Run under -race this also
-// checks the batch score phase for data races.
+// TestBatchedRefillMatchesPerEdge pins the window refill against the
+// source kind feeding it: a batch-capable stream and a Next-only wrapper
+// must produce edge-for-edge identical assignments, equal to the golden
+// fingerprints recorded before the batched refill was removed, across
+// lazy and eager traversal and every tested worker count. The clustering
+// score is on (the default), so every insertion feeds the neighbourhoods
+// of later scores. Run under -race this also checks the pool passes.
 func TestBatchedRefillMatchesPerEdge(t *testing.T) {
 	all := equivalenceGraph(t)
 	for _, mode := range []struct {
@@ -69,60 +88,57 @@ func TestBatchedRefillMatchesPerEdge(t *testing.T) {
 		eager  bool
 		n      int // stream prefix (eager pops are quadratic in the window)
 		window int
+		want   uint64
 	}{
-		{"lazy", false, 30_000, 1024},
-		{"eager", true, 6_000, 256},
+		{"lazy", false, 30_000, 1024, 0x18f2e01b6dafafce},
+		{"eager", true, 6_000, 256, 0x1c0129fd67f00e32},
 	} {
 		edges := all[:mode.n]
-		ref, refStats := runRefill(t, edges, mode.window, 1, 0, mode.eager, true)
-		if ref.Len() != mode.n {
-			t.Fatalf("%s: per-edge reference assigned %d of %d edges", mode.name, ref.Len(), mode.n)
-		}
-		if refStats.RefillPasses != 0 || refStats.BatchedAdds != 0 {
-			t.Fatalf("%s: per-edge refill reported batched counters: passes=%d adds=%d",
-				mode.name, refStats.RefillPasses, refStats.BatchedAdds)
-		}
 		for _, workers := range []int{1, 2, 8} {
-			// batch 0 is the default cap; 7 forces many odd-sized batch
-			// boundaries inside every deficit drain.
-			for _, batch := range []int{0, 7} {
-				label := mode.name
-				a, st := runRefill(t, edges, mode.window, workers, batch, mode.eager, false)
+			var ref *metrics.Assignment
+			var refOps int64
+			for _, src := range refillSources {
+				label := mode.name + "/" + src.name
+				a, st := runRefill(t, src.mk(edges), mode.window, workers, mode.eager)
+				if got := fingerprint(a); got != mode.want {
+					t.Errorf("%s workers=%d: fingerprint %#016x, want %#016x", label, workers, got, mode.want)
+				}
+				if want := wantRefillPasses(mode.n, mode.window); st.RefillPasses != want {
+					t.Errorf("%s workers=%d: RefillPasses = %d, want %d", label, workers, st.RefillPasses, want)
+				}
+				if ref == nil {
+					ref, refOps = a, st.ScoreComputations
+					continue
+				}
 				requireSameAssignments(t, label, ref, a)
-				if st.RefillPasses == 0 {
-					t.Errorf("%s workers=%d batch=%d: no refill passes recorded", label, workers, batch)
-				}
-				if st.BatchedAdds != int64(mode.n) {
-					t.Errorf("%s workers=%d batch=%d: BatchedAdds = %d, want %d (every edge enters via refill)",
-						label, workers, batch, st.BatchedAdds, mode.n)
-				}
-				if st.ScoreComputations != refStats.ScoreComputations {
-					t.Errorf("%s workers=%d batch=%d: ScoreComputations = %d, per-edge reference %d",
-						label, workers, batch, st.ScoreComputations, refStats.ScoreComputations)
+				if st.ScoreComputations != refOps {
+					t.Errorf("%s workers=%d: ScoreComputations = %d, batch source %d",
+						label, workers, st.ScoreComputations, refOps)
 				}
 			}
 		}
 	}
 }
 
-// TestBatchedRefillDeficitExceedsStream pins the short-batch boundary:
-// with the window deficit larger than the whole stream remainder, the
-// drain loop must stop on the short batch, assign everything, and still
-// match the per-edge path.
+// TestBatchedRefillDeficitExceedsStream pins the short-stream boundary:
+// with the first window deficit larger than the whole stream, the
+// initial fill must drain the stream in one refill call and every edge
+// must still be assigned.
 func TestBatchedRefillDeficitExceedsStream(t *testing.T) {
 	edges := equivalenceGraph(t)[:3_000]
 	const window = 4096 // first deficit (4096) > stream length (3000)
-	ref, _ := runRefill(t, edges, window, 1, 0, false, true)
-	if ref.Len() != len(edges) {
-		t.Fatalf("per-edge reference assigned %d of %d edges", ref.Len(), len(edges))
-	}
 	for _, workers := range []int{1, 2, 8} {
-		for _, batch := range []int{0, 100} {
-			a, st := runRefill(t, edges, window, workers, batch, false, false)
-			requireSameAssignments(t, "deficit>stream", ref, a)
-			if st.BatchedAdds != int64(len(edges)) {
-				t.Errorf("workers=%d batch=%d: BatchedAdds = %d, want %d",
-					workers, batch, st.BatchedAdds, len(edges))
+		for _, src := range refillSources {
+			a, st := runRefill(t, src.mk(edges), window, workers, false)
+			if a.Len() != len(edges) {
+				t.Fatalf("%s workers=%d: assigned %d of %d edges", src.name, workers, a.Len(), len(edges))
+			}
+			if got, want := fingerprint(a), uint64(0xd04815945f39f366); got != want {
+				t.Errorf("%s workers=%d: fingerprint %#016x, want %#016x", src.name, workers, got, want)
+			}
+			if st.RefillPasses != 1 {
+				t.Errorf("%s workers=%d: RefillPasses = %d, want 1 (the initial fill takes the whole stream)",
+					src.name, workers, st.RefillPasses)
 			}
 		}
 	}
@@ -136,49 +152,28 @@ type unsizedStream struct{ inner stream.Stream }
 func (u *unsizedStream) Next() (graph.Edge, bool) { return u.inner.Next() }
 func (u *unsizedStream) Remaining() int64         { return -1 }
 
-// TestRefillUnknownRemaining runs both refill paths over a stream that
-// cannot report its length: the batched path must drain it via the
-// NextBatch fallback identically to the per-edge path, and the capacity
-// hint derives from the window configuration (no 1024 magic).
+// TestRefillUnknownRemaining runs the refill over a stream that cannot
+// report its length: it must drain the stream through the Next
+// fallback, assign every edge exactly as recorded before the batched
+// refill was removed, and count one refill call per single-edge top-up.
 func TestRefillUnknownRemaining(t *testing.T) {
 	edges := equivalenceGraph(t)[:10_000]
-	run := func(perEdge bool) (*metrics.Assignment, RunStats) {
-		opts := []Option{
-			WithInitialWindow(512),
-			WithFixedWindow(),
-			WithScoreWorkers(2),
-		}
-		if perEdge {
-			opts = append(opts, WithPerEdgeRefill())
-		}
-		ad, err := New(8, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := ad.Run(&unsizedStream{inner: stream.FromEdges(edges)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a, ad.Stats()
+	const window = 512
+	ad, err := New(8, WithInitialWindow(window), WithFixedWindow(), WithScoreWorkers(2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	ref, _ := run(true)
-	if ref.Len() != len(edges) {
-		t.Fatalf("per-edge run over unsized stream assigned %d of %d edges", ref.Len(), len(edges))
+	a, err := ad.Run(&unsizedStream{inner: stream.FromEdges(edges)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, st := run(false)
-	requireSameAssignments(t, "unsized stream", ref, a)
-	if st.BatchedAdds != int64(len(edges)) {
-		t.Errorf("BatchedAdds = %d, want %d", st.BatchedAdds, len(edges))
+	if a.Len() != len(edges) {
+		t.Fatalf("run over unsized stream assigned %d of %d edges", a.Len(), len(edges))
 	}
-}
-
-// TestRefillBatchValidation pins the option contract: negative caps are
-// construction errors, zero means default.
-func TestRefillBatchValidation(t *testing.T) {
-	if _, err := New(4, WithRefillBatch(-1)); err == nil {
-		t.Error("New accepted a negative refill batch cap")
+	if got, want := fingerprint(a), uint64(0x5559e8db3c2c4572); got != want {
+		t.Errorf("fingerprint %#016x, want %#016x", got, want)
 	}
-	if _, err := New(4, WithRefillBatch(0)); err != nil {
-		t.Errorf("New rejected the zero (default) refill batch cap: %v", err)
+	if got, want := ad.Stats().RefillPasses, wantRefillPasses(len(edges), window); got != want {
+		t.Errorf("RefillPasses = %d, want %d", got, want)
 	}
 }

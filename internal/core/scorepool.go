@@ -100,11 +100,10 @@ func (p *scorePool) shard(i, items int) (lo, hi int) {
 // shards, handing each shard its id (the index of the scratch it owns).
 // Passes smaller than minPerShard·n run inline on the caller with shard
 // id 0 — by the determinism contract the result is identical either way.
-// It reports whether the pass actually ran on the pool.
-func (p *scorePool) forEach(items, minPerShard int, fn func(shard, lo, hi int)) bool {
+func (p *scorePool) forEach(items, minPerShard int, fn func(shard, lo, hi int)) {
 	if p == nil || p.n <= 1 || p.pool == nil || items < minPerShard*p.n {
 		fn(0, 0, items)
-		return false
+		return
 	}
 	p.passes++
 	if p.mPasses != nil {
@@ -123,7 +122,6 @@ func (p *scorePool) forEach(items, minPerShard int, fn func(shard, lo, hi int)) 
 	if helpers > p.helpersPeak {
 		p.helpersPeak = helpers
 	}
-	return true
 }
 
 // workerOps returns the per-shard score-op counters (index = logical shard

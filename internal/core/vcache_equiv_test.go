@@ -31,9 +31,10 @@ func fingerprint(a *metrics.Assignment) uint64 {
 // the unbounded vertex-state path: each run below, at the default budget
 // (0, unbounded), must reproduce the assignment fingerprint recorded from
 // the original unbounded table, which this budgeted table replaced. It
-// sweeps ADWISE traversal mode × refill path × score-worker count
-// {1, 2, 8}, and the single-edge strategies HDRF, DBH, Greedy, Grid and
-// Hash, all on one fixed RMAT graph. Run under -race in CI this also
+// sweeps ADWISE traversal mode × stream source kind (batch-capable or
+// Next-only) × score-worker count {1, 2, 8}, and the single-edge
+// strategies HDRF, DBH, Greedy, Grid and Hash, all on one fixed RMAT
+// graph. Run under -race in CI this also
 // drives the table probes through the sharded scoring pool. A changed
 // fingerprint means the change altered assignments; re-record only when
 // that is intended.
@@ -43,14 +44,15 @@ func TestBoundedUnlimitedEquivalence(t *testing.T) {
 	for _, mode := range []struct {
 		name  string
 		edges int
+		next  bool // feed a Next-only wrapper instead of the batch-capable stream
 		opts  []Option
 		want  uint64
 	}{
-		{"lazy/batched", len(all), nil, 0x5c2f210f5fdaf95a},
-		{"lazy/per-edge", len(all), []Option{WithPerEdgeRefill()}, 0x5c2f210f5fdaf95a},
+		{"lazy/batched", len(all), false, nil, 0x5c2f210f5fdaf95a},
+		{"lazy/per-edge", len(all), true, nil, 0x5c2f210f5fdaf95a},
 		// Eager rescoring is quadratic in the window per pop; a
 		// shorter prefix keeps the sweep affordable under -race.
-		{"eager/batched", 8_000, []Option{WithEagerTraversal()}, 0xcbc12fd6a01e8f99},
+		{"eager/batched", 8_000, false, []Option{WithEagerTraversal()}, 0xcbc12fd6a01e8f99},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			for _, workers := range []int{1, 2, 8} {
@@ -63,7 +65,11 @@ func TestBoundedUnlimitedEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				a, err := ad.Run(stream.FromEdges(all[:mode.edges]))
+				var s stream.Stream = stream.FromEdges(all[:mode.edges])
+				if mode.next {
+					s = &nextOnlyStream{inner: s}
+				}
+				a, err := ad.Run(s)
 				if err != nil {
 					t.Fatal(err)
 				}

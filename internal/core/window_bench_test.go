@@ -62,7 +62,7 @@ func BenchmarkPopBest(b *testing.B) {
 }
 
 // BenchmarkAdwiseRun measures a full fixed-window pass end to end: window
-// refill (batched stream draw), scoring, cache updates.
+// refill (per-edge draw from the buffered stream), scoring, cache updates.
 func BenchmarkAdwiseRun(b *testing.B) {
 	g := benchGraph(b)
 	b.ReportAllocs()

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/adwise-go/adwise/internal/graph"
+	"github.com/adwise-go/adwise/internal/stream"
 )
 
 func newTestWindow(k int, epsilon float64, maxCand int, eager bool) (*window, *scorer) {
@@ -213,5 +214,39 @@ func TestWindowScoreSumConsistency(t *testing.T) {
 			break
 		}
 		sc.commit(e, p)
+	}
+}
+
+// TestClusteringOffSkipsNeighbourhood pins that a run with the clustering
+// score off never collects a window neighbourhood: every scratch's dedup
+// set stays empty, and the assignment matches the fingerprint recorded
+// when the neighbourhood was still collected and discarded.
+func TestClusteringOffSkipsNeighbourhood(t *testing.T) {
+	edges := equivalenceGraph(t)[:30_000]
+	for _, workers := range []int{1, 2, 8} {
+		ad, err := New(8,
+			WithInitialWindow(256),
+			WithFixedWindow(),
+			WithMaxCandidates(256),
+			WithScoreWorkers(workers),
+			WithClusteringScore(false),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := ad.Run(stream.FromEdges(edges))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fingerprint(a), uint64(0xb41264279a22826a); got != want {
+			t.Errorf("workers=%d: fingerprint %#016x, want %#016x", workers, got, want)
+		}
+		scratches := append([]*scoreScratch{ad.scorer.prime}, ad.win.pool.scratch...)
+		for i, scr := range scratches {
+			if len(scr.seenScratch) != 0 || len(scr.neighborScratch) != 0 {
+				t.Errorf("workers=%d scratch %d: neighbourhood collected with clustering off (seen=%d neighbours=%d)",
+					workers, i, len(scr.seenScratch), len(scr.neighborScratch))
+			}
+		}
 	}
 }

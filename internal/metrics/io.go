@@ -46,7 +46,10 @@ func (a *Assignment) WriteTSV(w io.Writer) error {
 // Other comment lines are free text and ignored. When a header is
 // present it is authoritative: a malformed k= or edges= field, a row
 // whose partition is >= k, or a row count that contradicts edges= are
-// all errors — a bad row must never silently widen the assignment.
+// all errors — a bad row must never silently widen the assignment. A
+// header k= or a row partition at or above MaxPartitions is an error too,
+// so no input can make a consumer size per-partition state for an
+// unbounded k.
 func ReadTSV(r io.Reader) (*Assignment, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -93,6 +96,9 @@ func ReadTSV(r io.Reader) (*Assignment, error) {
 		}
 		if part < 0 {
 			return nil, fmt.Errorf("metrics: line %d: negative partition %d", lineNo, part)
+		}
+		if part >= MaxPartitions {
+			return nil, fmt.Errorf("metrics: line %d: partition %d at or above the limit of %d partitions", lineNo, part, MaxPartitions)
 		}
 		if headerK > 0 && int(part) >= headerK {
 			return nil, fmt.Errorf("metrics: line %d: partition %d outside header k=%d", lineNo, part, headerK)
@@ -143,6 +149,9 @@ func parseHeader(line string) (k, edges int, err error) {
 			k, err = strconv.Atoi(rest)
 			if err != nil || k < 1 {
 				return -1, -1, fmt.Errorf("malformed header field %q: k must be a positive integer", f)
+			}
+			if k > MaxPartitions {
+				return -1, -1, fmt.Errorf("header field %q: k above the limit of %d partitions", f, MaxPartitions)
 			}
 		}
 		if rest, found := strings.CutPrefix(f, "edges="); found {

@@ -66,6 +66,8 @@ func TestReadTSVErrors(t *testing.T) {
 		{"malformed header edges", "# k=2 edges=two\n0 1 0\n"},
 		{"truncated vs header edges", "# k=2 edges=3\n0 1 0\n1 2 1\n"},
 		{"padded vs header edges", "# k=2 edges=1\n0 1 0\n1 2 1\n"},
+		{"partition near int32 max", "0\t1\t2147483646"},
+		{"header k above limit", "# k=2000000000 edges=1"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

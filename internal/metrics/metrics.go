@@ -160,15 +160,21 @@ func ReplicaHistogram(a *Assignment) []int {
 	return hist
 }
 
-// Validate checks structural invariants of an assignment: every partition
-// id within range and non-NaN internal consistency. It returns the first
-// violation found.
+// MaxPartitions bounds the partition count of an assignment read from or
+// handed to the outside: 4096 partitions are 64 replica-bitmap words per
+// vertex. Consumers size per-partition state by K, so the bound keeps a
+// crafted assignment from demanding gigabytes per shard.
+const MaxPartitions = 4096
+
+// Validate checks structural invariants of an assignment: a partition
+// count in [1, MaxPartitions], every partition id within range and
+// non-NaN internal consistency. It returns the first violation found.
 func (a *Assignment) Validate() error {
 	if len(a.Edges) != len(a.Parts) {
 		return fmt.Errorf("metrics: %d edges but %d partition labels", len(a.Edges), len(a.Parts))
 	}
-	if a.K < 1 {
-		return fmt.Errorf("metrics: invalid partition count %d", a.K)
+	if a.K < 1 || a.K > MaxPartitions {
+		return fmt.Errorf("metrics: invalid partition count %d (want 1..%d)", a.K, MaxPartitions)
 	}
 	for i, p := range a.Parts {
 		if p < 0 || int(p) >= a.K {

@@ -130,6 +130,10 @@ func TestValidate(t *testing.T) {
 	if err := badK.Validate(); err == nil {
 		t.Error("Validate accepted K=0")
 	}
+	wideK := &Assignment{K: MaxPartitions + 1}
+	if err := wideK.Validate(); err == nil {
+		t.Errorf("Validate accepted K=%d above MaxPartitions", wideK.K)
+	}
 }
 
 func TestSummaryString(t *testing.T) {

@@ -84,11 +84,9 @@ type Stats struct {
 	// rather than the instance's own goroutine — >0 means the instance
 	// actually borrowed cores (the work-stealing flex under spotlight).
 	StolenScoreShards int64
-	// RefillPasses counts batched window refills; BatchedAdds counts the
-	// edges those passes staged and scored (window strategies with batched
-	// refill only — zero elsewhere and under per-edge refill).
+	// RefillPasses counts window refills that inserted at least one edge
+	// (window strategies only; zero elsewhere).
 	RefillPasses int64
-	BatchedAdds  int64
 	// EvictedVertices counts vertex-state evictions under a vertex budget
 	// (0 on the unbounded default).
 	EvictedVertices int64
@@ -113,7 +111,6 @@ func AggregateStats(stats []Stats) Stats {
 		agg.PoolScoreOps += st.PoolScoreOps
 		agg.StolenScoreShards += st.StolenScoreShards
 		agg.RefillPasses += st.RefillPasses
-		agg.BatchedAdds += st.BatchedAdds
 		agg.ScoreWorkers += st.ScoreWorkers
 		// Byte footprints sum: the z caches coexist for the run, so the
 		// run-level envelope is their total.
@@ -209,7 +206,6 @@ func (a adwiseStrategy) Stats() Stats {
 		PoolScoreOps:        poolOps,
 		StolenScoreShards:   st.StolenScoreShards,
 		RefillPasses:        st.RefillPasses,
-		BatchedAdds:         st.BatchedAdds,
 		EvictedVertices:     st.EvictedVertices,
 		CacheBytes:          st.CacheBytes,
 		PeakCacheBytes:      st.PeakCacheBytes,

@@ -73,9 +73,8 @@ var (
 
 // Shared returns the process-wide scoring pool, created on first use with
 // GOMAXPROCS workers. It is never closed; every partitioner instance in
-// the process submits its scoring passes here unless a private pool was
-// injected (WithScorePool), which is how the bench harness reproduces the
-// old static cores/z split for comparison.
+// the process with more than one scoring shard submits its scoring passes
+// here (a single-shard instance runs every pass inline).
 func Shared() *Pool {
 	sharedOnce.Do(func() {
 		shared = New(gort.GOMAXPROCS(0))
