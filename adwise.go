@@ -21,8 +21,9 @@
 // assigns the best-scoring one, adapting the window size at run time so
 // the pass completes within a configurable latency preference L.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-vs-measured reproduction record.
+// See ARCHITECTURE.md for the system inventory and its "Evaluation
+// substrate" section for how the reproduction stands in for the paper's
+// datasets and cluster.
 package adwise
 
 import (
@@ -62,6 +63,11 @@ type (
 	// and binary graph files alike.
 	FileStream = stream.FileStream
 )
+
+// MaxPartitions is the largest partition count an assignment may have:
+// ReadTSV and Assignment.Validate reject anything wider, so a partitioner
+// run above it would produce output nothing downstream accepts.
+const MaxPartitions = metrics.MaxPartitions
 
 // ADWISE configuration options, re-exported from the core implementation.
 type (

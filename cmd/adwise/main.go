@@ -58,8 +58,8 @@ func run(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("missing -in graph file")
 	}
-	if *k < 1 {
-		return fmt.Errorf("-k must be >= 1")
+	if *k < 1 || *k > adwise.MaxPartitions {
+		return fmt.Errorf("-k must be in [1, %d], got %d", adwise.MaxPartitions, *k)
 	}
 
 	// With -metrics-out the run is instrumented: pool pass/steal counters

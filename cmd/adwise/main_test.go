@@ -143,6 +143,7 @@ func TestRunErrors(t *testing.T) {
 		{},                          // missing -in
 		{"-in", "/nonexistent.txt"}, // unreadable graph
 		{"-in", path, "-k", "0"},    // bad k
+		{"-in", path, "-k", "4097"}, // k above MaxPartitions: the TSV would be unreadable
 		{"-in", path, "-algo", "bogus"},
 		{"-in", path, "-vcache-budget", "1e30g"}, // budget outside int64
 	}

@@ -22,7 +22,8 @@ func main() {
 	}
 	fmt.Printf("graph: %d vertices, %d edges\n", g.V(), g.E())
 	// Mildly interleave the generator's emission order, as a real scan
-	// would be; see EXPERIMENTS.md on stream orders.
+	// would be; see ARCHITECTURE.md "Evaluation substrate" on stream
+	// orders.
 	edges := adwise.Interleave(g.Edges, 64)
 
 	// ADWISE with a latency preference: the window grows as long as the

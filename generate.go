@@ -6,7 +6,8 @@ import (
 )
 
 // GraphPreset identifies one of the paper's evaluation graphs (Table II),
-// reproduced as a synthetic stand-in (see DESIGN.md §3).
+// reproduced as a synthetic stand-in (see ARCHITECTURE.md "Evaluation
+// substrate").
 type GraphPreset = gen.Preset
 
 // The three evaluation graphs.

@@ -11,10 +11,10 @@ import (
 	"github.com/adwise-go/adwise/internal/stream"
 )
 
-// Ablations for the design choices called out in DESIGN.md §5: lazy vs
-// eager traversal, adaptive vs fixed λ, clustering score on/off, and
-// stream order. These are not paper figures; they justify the ADWISE
-// design decisions empirically.
+// Ablations for the design choices listed in ARCHITECTURE.md "Evaluation
+// substrate": lazy vs eager traversal, adaptive vs fixed λ, clustering
+// score on/off, and stream order. These are not paper figures; they
+// justify the ADWISE design decisions empirically.
 
 // AblationLazy compares lazy window traversal against the eager O(w·|P|)
 // baseline: same windows, score-computation counts, latency, and quality.

@@ -1,10 +1,11 @@
 // Package bench is the experiment harness: it regenerates every table and
 // figure of the paper's evaluation (Table II, Figure 1, Figures 7a–7i,
-// Figure 8) plus the ablations called out in DESIGN.md, printing
-// paper-style tables.
+// Figure 8) plus the ablations listed in ARCHITECTURE.md "Evaluation
+// substrate", printing paper-style tables.
 //
 // Experiment scale is controlled by Config.Scale so the full suite runs on
-// a laptop; EXPERIMENTS.md records the paper-vs-measured comparison.
+// a laptop; ARCHITECTURE.md "Evaluation substrate" says where measured
+// records are kept.
 package bench
 
 import (

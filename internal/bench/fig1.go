@@ -23,7 +23,8 @@ func Figure1(cfg Config) (*Table, error) {
 	}
 	// Single-instance runs use a mildly interleaved stream: the generator's
 	// raw ring order is so perfectly local that HDRF's balance term
-	// saturates and leaves partitions empty (see EXPERIMENTS.md).
+	// saturates and leaves partitions empty (see ARCHITECTURE.md
+	// "Evaluation substrate").
 	edges := stream.Interleave(g.Edges, 64)
 	clk := cfg.clock()
 

@@ -31,7 +31,7 @@ type StrategyResult struct {
 // order. Orkut and Brain stream in generator (file) order, which carries
 // the temporal locality of a real crawl; Web is shuffled because the
 // community generator's file order is unrealistically clean (every site
-// fully contiguous) — see DESIGN.md §3.
+// fully contiguous) — see ARCHITECTURE.md "Evaluation substrate".
 func (c Config) evalGraph(preset gen.Preset) (*graph.Graph, []graph.Edge, error) {
 	g, err := preset.Generate(c.Scale, c.Seed)
 	if err != nil {

@@ -299,7 +299,7 @@ func New(k int, opts ...Option) (*Adwise, error) {
 	if shards > 1 {
 		execPool = scorepool.Shared()
 	}
-	pool := newScorePool(execPool, shards, k, len(parts))
+	pool := newScorePool(execPool, shards, len(parts))
 	if cfg.metrics != nil {
 		pool.mPasses = cfg.metrics.Counter(MetricPoolPasses)
 		pool.mStolen = cfg.metrics.Counter(MetricStolenShards)

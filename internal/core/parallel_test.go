@@ -54,8 +54,12 @@ func checkWindowInvariants(t *testing.T, w *window) {
 	// every entry must be in its set, and every live entry must appear in
 	// the incident list of both endpoints.
 	inList := make(map[*winEntry]map[graph.VertexID]bool)
-	for v, list := range w.incident {
-		for _, ent := range list {
+	for s, k := range w.verts.index.keys {
+		if k == 0 {
+			continue
+		}
+		v := w.verts.key[w.verts.index.vals[s]]
+		for _, ent := range w.verts.incident(v) {
 			if ent.kind == removed {
 				t.Fatalf("incident[%v] holds removed entry %v: remove must compact endpoint lists", v, ent.edge)
 			}
@@ -106,7 +110,7 @@ func TestWindowInvariantsRandomized(t *testing.T) {
 				exec = scorepool.New(tc.workers)
 				defer exec.Close()
 			}
-			pool := newScorePool(exec, tc.workers, 8, len(sc.parts))
+			pool := newScorePool(exec, tc.workers, len(sc.parts))
 			w := newWindow(sc, pool, 0.1, maxCand, tc.eager)
 			rng := rand.New(rand.NewSource(99))
 			for i := 0; i < 4000; i++ {
@@ -279,7 +283,7 @@ func TestTopTwoCachedShardedMatchesSerial(t *testing.T) {
 	}
 	exec := scorepool.New(4)
 	defer exec.Close()
-	pool := newScorePool(exec, 4, 2, 2)
+	pool := newScorePool(exec, 4, 2)
 
 	for round := 0; round < 50; round++ {
 		serialTop := scanTopTwo(scores, 0, len(scores))
@@ -304,7 +308,7 @@ func TestForEachShardsTile(t *testing.T) {
 	exec := scorepool.New(2)
 	defer exec.Close()
 	for _, n := range []int{1, 2, 3, 7, 8} {
-		pool := newScorePool(exec, n, 2, 2)
+		pool := newScorePool(exec, n, 2)
 		for _, items := range []int{0, 1, 5, 63, 64, 1000, 4096} {
 			covered := make([]int32, items)
 			// Shards cover disjoint index ranges, so the concurrent writes

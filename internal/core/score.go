@@ -29,35 +29,28 @@ import (
 //     is exact — and because it is never written during the pass, any
 //     number of workers can score against it concurrently.
 //   - scoreScratch is the per-worker mutable state: the clustering-score
-//     counters, the per-partition score buffer, the neighbourhood
-//     collection buffers, and the worker's score-op counter. Each worker
-//     owns one; nothing in a scratch is shared.
-//   - scorer owns the cache, the adaptive λ, and a "prime" scratch for the
-//     serial paths (add, reassess, single-leader rescores), and mints
-//     scoreViews at pass boundaries.
+//     counters, the per-partition score buffer, and the worker's score-op
+//     counter. Each worker owns one; nothing in a scratch is shared.
+//   - scorer owns the cache, the window vertex table (wintable.go) whose
+//     maintained counts give the clustering score, the adaptive λ, and a
+//     "prime" scratch for the serial paths (add, reassess, single-leader
+//     rescores), and mints scoreViews at pass boundaries.
 
 // scoreScratch is the mutable per-worker scoring state. One scratch is
 // owned by exactly one goroutine at a time; the pool hands scratch i to
 // shard-worker i and the scorer's prime scratch serves every serial path.
 type scoreScratch struct {
-	csCounts        []float64 // per-global-partition clustering-score counters
-	scores          []float64 // per-allowed-partition scores
-	neighborScratch []graph.VertexID
-	seenScratch     map[graph.VertexID]struct{}
+	csCounts []int32   // per-allowed-partition clustering-score counts
+	scores   []float64 // per-allowed-partition scores
 	// scoreOps counts edge score evaluations performed with this scratch
 	// (each evaluation covers all allowed partitions).
 	scoreOps int64
 }
 
-func newScoreScratch(k, nparts int) *scoreScratch {
+func newScoreScratch(nparts int) *scoreScratch {
 	return &scoreScratch{
-		// Padded to a whole number of 64-bit bitmap words: the clustering
-		// accumulation scatters by word-scanning replica bitmaps, and a
-		// padded buffer lets that scan index without a per-bit k bound
-		// check (bits ≥ k are never set, but the slots must exist).
-		csCounts:    make([]float64, paddedParts(k)),
-		scores:      make([]float64, nparts),
-		seenScratch: make(map[graph.VertexID]struct{}, 64),
+		csCounts: make([]int32, nparts),
+		scores:   make([]float64, nparts),
 	}
 }
 
@@ -83,6 +76,7 @@ func paddedParts(k int) int { return (k + 63) / 64 * 64 }
 // are bit-identical.
 type scoreView struct {
 	cache *vcache.Cache // read-only during the pass
+	verts *winTable     // read-only during the pass
 	parts []int
 
 	// balance[i] = λ·B(parts[i]), fixed for the pass. Aliases the minting
@@ -101,9 +95,9 @@ type scoreView struct {
 }
 
 // scoreEdge computes g(e,p) for every allowed partition and returns the
-// best score and its (global) partition id. neighbors is the window
-// neighbourhood N(u)∪N(v) of the edge (excluding the endpoints
-// themselves); it drives the clustering score of Eq. 6. All mutable state
+// best score and its (global) partition id. The clustering score of Eq. 6
+// is taken over the window neighbourhood N(u)∪N(v)∖{u,v} as the vertex
+// table currently holds it (winTable.clusterCounts). All mutable state
 // lives in scr, so concurrent calls with distinct scratches are safe.
 //
 // This is the replica-scan kernel of the scoring hot loop, written
@@ -111,17 +105,17 @@ type scoreView struct {
 // the precomputed balance terms in one copy, the replication addends are
 // scattered by word-scanning the endpoint replica bitmaps with math/bits
 // (set bits only — no per-partition Contains probe, no per-bit closure),
-// the clustering counts accumulate the same way over the neighbour
-// bitmaps, and one flat fold finishes the per-partition sums and the
-// argmax. Floating-point operation order per partition slot is identical
-// to the historical per-partition loop (balance, +R(u), +R(v), +CS, in
-// that order), so scores are bit-identical.
+// the clustering counts come from the table's maintained rows, and one
+// flat fold finishes the per-partition sums and the argmax. The counts
+// are exact integers and the floating-point operation order per partition
+// slot is identical to the historical per-partition loop (balance, +R(u),
+// +R(v), +CS, in that order), so scores are bit-identical.
 //
 // The returned slice aliases scr.scores and is only valid until the next
 // scoreEdge call with the same scratch.
 //
 //adwise:zeroalloc
-func (v *scoreView) scoreEdge(e graph.Edge, neighbors []graph.VertexID, scr *scoreScratch) (scores []float64, best float64, bestPart int) {
+func (v *scoreView) scoreEdge(e graph.Edge, scr *scoreScratch) (scores []float64, best float64, bestPart int) {
 	scr.scoreOps++
 
 	// Degree-aware replication score (Eq. 5): Ψu = deg(u)/(2·maxDegree),
@@ -130,24 +124,10 @@ func (v *scoreView) scoreEdge(e graph.Edge, neighbors []graph.VertexID, scr *sco
 	degU, ruWords := v.cache.LookupWords(e.Src)
 
 	// Clustering score (Eq. 6): per-partition count of window neighbours
-	// already replicated there, normalised by |N(u)∪N(v)|. The counters
-	// accumulate at every set bit (csCounts is padded to whole words);
-	// only allowed slots are cleared and read, as before.
-	useCS := v.clustering && len(neighbors) > 0
-	if useCS {
-		for _, p := range v.parts {
-			scr.csCounts[p] = 0
-		}
-		for _, n := range neighbors {
-			_, nw := v.cache.LookupWords(n)
-			for wi, wd := range nw {
-				base := wi << 6
-				for wd != 0 {
-					scr.csCounts[base+bits.TrailingZeros64(wd)]++
-					wd &= wd - 1
-				}
-			}
-		}
+	// already replicated there, normalised by |N(u)∪N(v)|.
+	nbs := 0
+	if v.clustering {
+		nbs = v.verts.clusterCounts(e, scr.csCounts)
 	}
 
 	// Seed every allowed slot with its balance term, then scatter the
@@ -159,10 +139,10 @@ func (v *scoreView) scoreEdge(e graph.Edge, neighbors []graph.VertexID, scr *sco
 		scatterReplica(scr.scores, v.partIdx, rvWords, 2-float64(degV)/(2*v.maxDeg))
 	}
 
-	if useCS {
-		invN := 1 / float64(len(neighbors))
-		for i, p := range v.parts {
-			scr.scores[i] += scr.csCounts[p] * invN
+	if nbs > 0 {
+		invN := 1 / float64(nbs)
+		for i, c := range scr.csCounts {
+			scr.scores[i] += float64(c) * invN
 		}
 	}
 
@@ -201,6 +181,7 @@ func scatterReplica(scores []float64, partIdx []int32, words []uint64, addend fl
 // views are minted per pass, and the prime scratch backs the serial paths.
 type scorer struct {
 	cache *vcache.Cache
+	verts *winTable
 	parts []int // allowed partitions (spotlight spread)
 
 	lambda     float64
@@ -235,6 +216,7 @@ func newScorer(cache *vcache.Cache, parts []int, cfg config) *scorer {
 	}
 	return &scorer{
 		cache:      cache,
+		verts:      newWinTable(cache, partIdx, len(parts), cfg.clustering),
 		parts:      parts,
 		lambda:     cfg.initialLambda,
 		lambdaMin:  cfg.lambdaMin,
@@ -242,7 +224,7 @@ func newScorer(cache *vcache.Cache, parts []int, cfg config) *scorer {
 		balanceEps: cfg.balanceEps,
 		clustering: cfg.clustering,
 		totalEdges: cfg.totalEdges,
-		prime:      newScoreScratch(cache.K(), len(parts)),
+		prime:      newScoreScratch(len(parts)),
 		balBuf:     make([]float64, len(parts)),
 		partIdx:    partIdx,
 	}
@@ -262,6 +244,7 @@ func (s *scorer) view() scoreView {
 	}
 	return scoreView{
 		cache:      s.cache,
+		verts:      s.verts,
 		parts:      s.parts,
 		balance:    s.balBuf,
 		partIdx:    s.partIdx,
@@ -273,17 +256,31 @@ func (s *scorer) view() scoreView {
 // scoreEdge scores one edge against a fresh single-call view using the
 // prime scratch — the convenience form for the serial one-edge paths and
 // tests. Passes that score many edges build one view and call it directly.
-func (s *scorer) scoreEdge(e graph.Edge, neighbors []graph.VertexID) (scores []float64, best float64, bestPart int) {
+func (s *scorer) scoreEdge(e graph.Edge) (scores []float64, best float64, bestPart int) {
 	v := s.view()
-	return v.scoreEdge(e, neighbors, s.prime)
+	return v.scoreEdge(e, s.prime)
 }
 
-// commit records the assignment of e to partition p in the vertex cache
+// commit records the assignment of e to partition p in the vertex cache,
+// mirrors new replicas into the window vertex table's clustering state,
 // and performs the per-assignment λ update of Eq. 4. It reports which
 // endpoints gained a new replica (these drive lazy reassessment, §III-B).
 // A commit is a pass boundary: scoreViews minted before it are stale.
 func (s *scorer) commit(e graph.Edge, p int) (newSrc, newDst bool) {
+	evicted := s.cache.EvictedVertices()
 	newSrc, newDst = s.cache.Assign(e, p)
+	if s.clustering {
+		if s.cache.EvictedVertices() != evicted {
+			s.verts.rebuild()
+		} else {
+			if newSrc {
+				s.verts.replicaGained(e.Src, p)
+			}
+			if newDst {
+				s.verts.replicaGained(e.Dst, p)
+			}
+		}
+	}
 
 	// Adaptive balancing (Eq. 4): λ += ι − tolerance(α) with
 	// tolerance(α) = max(0, 1−α), clamped to [λmin, λmax].

@@ -38,7 +38,7 @@ func TestScoreEmptyCacheIsPureBalance(t *testing.T) {
 	// Nothing assigned: R = 0, CS = 0, and B(p) = (0-0)/(0-0+1) = 0 for
 	// every partition, so all scores are exactly 0.
 	sc, _ := newTestScorer(4, 1.0, true, 10)
-	scores, best, bestPart := sc.scoreEdge(graph.Edge{Src: 0, Dst: 1}, nil)
+	scores, best, bestPart := sc.scoreEdge(graph.Edge{Src: 0, Dst: 1})
 	for i, s := range scores {
 		approx(t, "score", s, 0)
 		_ = i
@@ -58,7 +58,7 @@ func TestScoreBalanceTerm(t *testing.T) {
 	cache.Assign(graph.Edge{Src: 12, Dst: 13}, 0)
 
 	// Edge with unseen endpoints: only the balance term contributes.
-	scores, best, bestPart := sc.scoreEdge(graph.Edge{Src: 20, Dst: 21}, nil)
+	scores, best, bestPart := sc.scoreEdge(graph.Edge{Src: 20, Dst: 21})
 	approx(t, "g(e,p0)", scores[0], 0)
 	approx(t, "g(e,p1)", scores[1], 1.5*2.0/3.0)
 	approx(t, "best", best, 1.0)
@@ -76,7 +76,7 @@ func TestScoreReplicationTerm(t *testing.T) {
 	cache.Assign(graph.Edge{Src: 5, Dst: 6}, 0)
 
 	// Edge (5,6) again: both endpoints on p0 → R(e,p0) = 3.0.
-	scores, best, bestPart := sc.scoreEdge(graph.Edge{Src: 5, Dst: 6}, nil)
+	scores, best, bestPart := sc.scoreEdge(graph.Edge{Src: 5, Dst: 6})
 	approx(t, "g(e,p0)", scores[0], 3.0)
 	approx(t, "g(e,p1)", scores[1], 1.0*0.5)
 	approx(t, "best", best, 3.0)
@@ -85,7 +85,7 @@ func TestScoreReplicationTerm(t *testing.T) {
 	}
 
 	// Edge (5,99): only one endpoint replicated → R(e,p0) = 1.5.
-	scores, _, _ = sc.scoreEdge(graph.Edge{Src: 5, Dst: 99}, nil)
+	scores, _, _ = sc.scoreEdge(graph.Edge{Src: 5, Dst: 99})
 	approx(t, "g((5,99),p0)", scores[0], 1.5)
 }
 
@@ -100,9 +100,9 @@ func TestScoreDegreeAwareness(t *testing.T) {
 	cache.Assign(graph.Edge{Src: 1, Dst: 4}, 0)
 
 	// u=1 has degree 3; w=2 has degree 1.
-	scoresU, _, _ := sc.scoreEdge(graph.Edge{Src: 1, Dst: 50}, nil)
+	scoresU, _, _ := sc.scoreEdge(graph.Edge{Src: 1, Dst: 50})
 	highDeg := scoresU[0]
-	scoresW, _, _ := sc.scoreEdge(graph.Edge{Src: 2, Dst: 50}, nil)
+	scoresW, _, _ := sc.scoreEdge(graph.Edge{Src: 2, Dst: 50})
 	lowDeg := scoresW[0]
 	approx(t, "high-degree pull", highDeg, 2-3.0/6.0)
 	approx(t, "low-degree pull", lowDeg, 2-1.0/6.0)
@@ -115,16 +115,18 @@ func TestScoreClusteringTerm(t *testing.T) {
 	// The Figure 6 example: u replicated on both partitions, three of its
 	// neighbours on p1, one on p2. CS must prefer p1.
 	// Construct: neighbours 101,102,103 on p0; neighbour 104 on p1;
-	// u (=100) on both.
+	// u (=100) on both. The window holds the four edges (100, 10x), so the
+	// window neighbourhood of (100, 200) is {101,102,103,104}.
 	sc, cache := newTestScorer(2, 0, true, 100)
 	cache.Assign(graph.Edge{Src: 100, Dst: 101}, 0)
 	cache.Assign(graph.Edge{Src: 100, Dst: 102}, 0)
 	cache.Assign(graph.Edge{Src: 100, Dst: 103}, 0)
 	cache.Assign(graph.Edge{Src: 100, Dst: 104}, 1)
-
-	// Score edge (100, 200) with window neighbourhood {101,102,103,104}.
-	neighbors := []graph.VertexID{101, 102, 103, 104}
-	scores, _, bestPart := sc.scoreEdge(graph.Edge{Src: 100, Dst: 200}, neighbors)
+	w := newWindow(sc, newScorePool(nil, 1, len(sc.parts)), 0.1, 64, false)
+	for _, n := range []graph.VertexID{101, 102, 103, 104} {
+		w.add(graph.Edge{Src: 100, Dst: n})
+	}
+	scores, _, bestPart := sc.scoreEdge(graph.Edge{Src: 100, Dst: 200})
 
 	// R(e,p): u on both partitions; deg(u)=4, maxDegree=4 → Ψu=0.5,
 	// contribution 1.5 on both sides. CS(p0)=3/4, CS(p1)=1/4.
@@ -134,11 +136,16 @@ func TestScoreClusteringTerm(t *testing.T) {
 		t.Errorf("bestPart = %d, want 0 (stronger local cluster)", bestPart)
 	}
 
-	// With clustering disabled the two partitions tie at 1.5.
+	// The same window with clustering disabled: the two partitions tie at
+	// 1.5.
 	sc2, cache2 := newTestScorer(2, 0, false, 100)
 	cache2.Assign(graph.Edge{Src: 100, Dst: 101}, 0)
 	cache2.Assign(graph.Edge{Src: 100, Dst: 104}, 1)
-	scores2, _, _ := sc2.scoreEdge(graph.Edge{Src: 100, Dst: 200}, neighbors)
+	w2 := newWindow(sc2, newScorePool(nil, 1, len(sc2.parts)), 0.1, 64, false)
+	for _, n := range []graph.VertexID{101, 102, 103, 104} {
+		w2.add(graph.Edge{Src: 100, Dst: n})
+	}
+	scores2, _, _ := sc2.scoreEdge(graph.Edge{Src: 100, Dst: 200})
 	approx(t, "no-CS tie", scores2[0], scores2[1])
 }
 
@@ -146,7 +153,7 @@ func TestScoreSelfLoopCountsOnce(t *testing.T) {
 	sc, cache := newTestScorer(2, 0, false, 100)
 	cache.Assign(graph.Edge{Src: 7, Dst: 7}, 0)
 	// Self-loop (7,7): Src term only — deg(7)=1, max=1, Ψ=0.5 → 1.5, not 3.
-	scores, _, _ := sc.scoreEdge(graph.Edge{Src: 7, Dst: 7}, nil)
+	scores, _, _ := sc.scoreEdge(graph.Edge{Src: 7, Dst: 7})
 	approx(t, "self-loop score", scores[0], 1.5)
 }
 
@@ -205,7 +212,7 @@ func TestCommitReportsNewReplicas(t *testing.T) {
 func TestScoreOpsCounted(t *testing.T) {
 	sc, _ := newTestScorer(2, 1, false, 10)
 	for i := 0; i < 5; i++ {
-		sc.scoreEdge(graph.Edge{Src: 0, Dst: 1}, nil)
+		sc.scoreEdge(graph.Edge{Src: 0, Dst: 1})
 	}
 	if sc.prime.scoreOps != 5 {
 		t.Errorf("scoreOps = %d, want 5", sc.prime.scoreOps)

@@ -76,16 +76,22 @@ type window struct {
 	// updateScore; checkWindowInvariants asserts the sync.
 	candScores []float64
 	secScores  []float64
-	// incident maps a vertex to the window entries of its incident edges.
-	// remove compacts the popped entry's two endpoint lists immediately —
-	// removal is the only source of dead entries — so between pops the
-	// lists hold live entries only and scoring passes never re-walk
-	// garbage.
-	incident map[graph.VertexID][]*winEntry
+	// verts is the window vertex table (wintable.go): per window vertex,
+	// its incident entries and the clustering-score state. add links an
+	// entry into it and remove unlinks it, so between pops it describes
+	// exactly the live entries. Owned by the scorer, which reads it to
+	// score and updates it on commit.
+	verts *winTable
+
+	// free recycles removed entries and slab is the unused tail of the
+	// last entry block, so the window allocates entries in proportion to
+	// its peak size, not to the stream length.
+	free []*winEntry
+	slab []winEntry
 
 	scoreSum float64 // Σ cached scores over live entries (for Θ)
 	epsilon  float64 // ε in Θ = g_avg + ε
-	maxCand  int     // bound on |C|; DESIGN.md documents this engineering cap
+	maxCand  int     // bound on |C|; an engineering cap, see ARCHITECTURE.md "Window scoring"
 	// eager disables lazy traversal: every window edge is a candidate and
 	// all of them are re-scored on every pop — the O(w·|P|) baseline the
 	// paper's §III-B improves on. Used by the lazy-vs-eager ablation.
@@ -105,12 +111,12 @@ type window struct {
 
 func newWindow(sc *scorer, pool *scorePool, epsilon float64, maxCand int, eager bool) *window {
 	return &window{
-		sc:       sc,
-		pool:     pool,
-		incident: make(map[graph.VertexID][]*winEntry, 256),
-		epsilon:  epsilon,
-		maxCand:  maxCand,
-		eager:    eager,
+		sc:      sc,
+		pool:    pool,
+		verts:   sc.verts,
+		epsilon: epsilon,
+		maxCand: maxCand,
+		eager:   eager,
 	}
 }
 
@@ -126,88 +132,40 @@ func (w *window) theta() float64 {
 	return w.scoreSum/float64(n) + w.epsilon
 }
 
-// neighbors collects the window neighbourhood N(u)∪N(v) of e: the distinct
-// other-endpoints of live window edges incident to e's endpoints,
-// excluding u and v themselves. Used by the clustering score (Eq. 6); the
-// paper computes N only from window edges for scalability. Serial form
-// over the prime scratch; scoring passes use neighborsInto with
-// per-worker scratches.
-func (w *window) neighbors(e graph.Edge) []graph.VertexID {
-	return w.neighborsInto(e, w.sc.prime)
-}
-
-// neighborsInto is the read-only neighbourhood collection: it walks the
-// incident lists (live-only between pops; the removed check is defensive)
-// touching only the given scratch — safe for concurrent calls with
-// distinct scratches while no one mutates the window (the compute phase
-// of a pass). The returned slice aliases scr.neighborScratch. With the
-// clustering score off the neighbourhood is never read, so it is empty and
-// no incident list is walked.
-func (w *window) neighborsInto(e graph.Edge, scr *scoreScratch) []graph.VertexID {
-	scr.neighborScratch = scr.neighborScratch[:0]
-	if !w.sc.clustering {
-		return scr.neighborScratch
-	}
-	clear(scr.seenScratch)
-	scr.seenScratch[e.Src] = struct{}{}
-	scr.seenScratch[e.Dst] = struct{}{}
-	collect := func(v graph.VertexID) {
-		for _, ent := range w.incident[v] {
-			if ent.kind == removed {
-				continue
-			}
-			n := ent.edge.Other(v)
-			if _, dup := scr.seenScratch[n]; dup {
-				continue
-			}
-			scr.seenScratch[n] = struct{}{}
-			scr.neighborScratch = append(scr.neighborScratch, n)
-		}
-	}
-	collect(e.Src)
-	if e.Dst != e.Src {
-		collect(e.Dst)
-	}
-	return scr.neighborScratch
-}
-
-// iterIncident returns the live entries incident to v, compacting removed
-// entries in place. Serial paths only — it mutates the incident map.
-func (w *window) iterIncident(v graph.VertexID) []*winEntry {
-	list, ok := w.incident[v]
-	if !ok {
-		return nil
-	}
-	live := list[:0]
-	for _, ent := range list {
-		if ent.kind != removed {
-			live = append(live, ent)
-		}
-	}
-	if len(live) == 0 {
-		delete(w.incident, v)
-		return nil
-	}
-	w.incident[v] = live
-	return live
-}
-
-// add inserts a fresh stream edge into the window: score it once, classify
-// against the live Θ (§III-B step 1) and link the entry into its set and
-// the incident lists. In eager mode everything is a candidate.
+// add inserts a fresh stream edge into the window: score it once against
+// the window as it stands (without the edge itself), classify against the
+// live Θ (§III-B step 1) and link the entry into its set and the vertex
+// table. In eager mode everything is a candidate.
 func (w *window) add(e graph.Edge) {
-	_, best, part := w.sc.scoreEdge(e, w.neighbors(e))
-	ent := &winEntry{edge: e, score: best, part: part}
+	_, best, part := w.sc.scoreEdge(e)
+	ent := w.newEntry()
+	*ent = winEntry{edge: e, score: best, part: part}
 	if w.eager || (best > w.theta() && len(w.candidates) < w.maxCand) {
 		w.pushCandidate(ent)
 	} else {
 		w.pushSecondary(ent)
 	}
 	w.scoreSum += best
-	w.incident[e.Src] = append(w.incident[e.Src], ent)
-	if e.Dst != e.Src {
-		w.incident[e.Dst] = append(w.incident[e.Dst], ent)
+	w.verts.link(ent)
+}
+
+// entryBlock is the number of entries allocated together once the free
+// list is empty.
+const entryBlock = 256
+
+// newEntry takes an entry from the free list, or from a fresh block.
+func (w *window) newEntry() *winEntry {
+	if n := len(w.free); n > 0 {
+		ent := w.free[n-1]
+		w.free = w.free[:n-1]
+		return ent
 	}
+	if len(w.slab) == 0 {
+		w.slab = make([]winEntry, entryBlock)
+	}
+	ent := &w.slab[0]
+	w.slab = w.slab[1:]
+	return ent
 }
 
 func (w *window) pushCandidate(ent *winEntry) {
@@ -247,18 +205,14 @@ func (w *window) detach(ent *winEntry) {
 	*scores = sc[:last]
 }
 
-// remove detaches ent and marks it dead, compacting its two endpoint
-// incident lists on the spot: removal is the only source of dead list
-// entries, so eager compaction here keeps every later walk — including
-// the sharded compute phases — free of removed entries.
+// remove detaches ent, unlinks it from the vertex table and recycles it.
+// The entry's fields stay readable until the next add reuses it.
 func (w *window) remove(ent *winEntry) {
 	w.detach(ent)
 	ent.kind = removed
 	w.scoreSum -= ent.score
-	w.iterIncident(ent.edge.Src)
-	if ent.edge.Dst != ent.edge.Src {
-		w.iterIncident(ent.edge.Dst)
-	}
+	w.verts.unlink(ent)
+	w.free = append(w.free, ent)
 }
 
 // updateScore refreshes ent's cached score in place — both the entry
@@ -316,8 +270,7 @@ func (w *window) scoreAll(ents []*winEntry, view *scoreView, scores []float64, p
 			scr = w.pool.scratch[shard]
 		}
 		for i := lo; i < hi; i++ {
-			nbs := w.neighborsInto(ents[i].edge, scr)
-			_, best, part := view.scoreEdge(ents[i].edge, nbs, scr)
+			_, best, part := view.scoreEdge(ents[i].edge, scr)
 			scores[i], parts[i] = best, int32(part)
 		}
 	})
@@ -382,7 +335,7 @@ func (w *window) popFreshFrom(set []*winEntry, scores []float64) (graph.Edge, in
 	idx, _ := w.pool.topTwoCached(scores)
 	best := set[idx]
 	view := w.sc.view()
-	_, fresh, part := view.scoreEdge(best.edge, w.neighborsInto(best.edge, w.sc.prime), w.sc.prime)
+	_, fresh, part := view.scoreEdge(best.edge, w.sc.prime)
 	w.updateScore(best, fresh, part)
 	w.remove(best)
 	return best.edge, part, fresh, true
@@ -406,7 +359,7 @@ func (w *window) selectLazy() *winEntry {
 		}
 		idx, second := w.pool.topTwoCached(w.candScores)
 		best := w.candidates[idx]
-		_, fresh, part := view.scoreEdge(best.edge, w.neighborsInto(best.edge, w.sc.prime), w.sc.prime)
+		_, fresh, part := view.scoreEdge(best.edge, w.sc.prime)
 		w.updateScore(best, fresh, part)
 		if fresh >= second || len(w.candidates) == 1 {
 			return best
@@ -484,12 +437,11 @@ func (w *window) reassess(v graph.VertexID) {
 	w.reassessments++
 	theta := w.theta()
 	view := w.sc.view()
-	for _, ent := range w.iterIncident(v) {
+	for _, ent := range w.verts.incident(v) {
 		if ent.kind != inSecondary || len(w.candidates) >= w.maxCand {
 			continue
 		}
-		nbs := w.neighborsInto(ent.edge, w.sc.prime)
-		_, score, part := view.scoreEdge(ent.edge, nbs, w.sc.prime)
+		_, score, part := view.scoreEdge(ent.edge, w.sc.prime)
 		w.updateScore(ent, score, part)
 		if score > theta {
 			w.detach(ent)

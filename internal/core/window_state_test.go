@@ -72,7 +72,7 @@ func TestPopBestSecondaryFallbackRescoresStaleEntry(t *testing.T) {
 	sc.commit(graph.Edge{Src: 200, Dst: 450}, 1)
 	sc.commit(graph.Edge{Src: 500, Dst: 501}, 0)
 	sc.commit(graph.Edge{Src: 502, Dst: 503}, 0)
-	wantScores, wantScore, wantPart := sc.scoreEdge(s, w.neighbors(s))
+	wantScores, wantScore, wantPart := sc.scoreEdge(s)
 	_ = wantScores
 	if wantPart == stalePart {
 		t.Fatalf("setup: fresh argmax %d did not diverge from stale cache %d", wantPart, stalePart)

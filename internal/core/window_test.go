@@ -9,7 +9,7 @@ import (
 
 func newTestWindow(k int, epsilon float64, maxCand int, eager bool) (*window, *scorer) {
 	sc, _ := newTestScorer(k, 1.0, true, 100)
-	w := newWindow(sc, newScorePool(nil, 1, k, len(sc.parts)), epsilon, maxCand, eager)
+	w := newWindow(sc, newScorePool(nil, 1, len(sc.parts)), epsilon, maxCand, eager)
 	return w, sc
 }
 
@@ -151,20 +151,27 @@ func TestWindowReassessPromotes(t *testing.T) {
 }
 
 func TestWindowNeighborsFromWindowEdges(t *testing.T) {
-	w, _ := newTestWindow(2, 0.1, 64, false)
+	w, sc := newTestWindow(2, 0.1, 64, false)
+	// Vertex 3 is replicated on p1, so it is visible in the counts.
+	sc.commit(graph.Edge{Src: 3, Dst: 9}, 1)
 	w.add(graph.Edge{Src: 1, Dst: 2})
 	w.add(graph.Edge{Src: 2, Dst: 3})
 	w.add(graph.Edge{Src: 4, Dst: 5})
+	counts := make([]int32, 2)
 
 	// N(1)∪N(2) for edge (1,2): from window edges, 2's other neighbour is
 	// 3; endpoints themselves are excluded.
-	nbs := w.neighbors(graph.Edge{Src: 1, Dst: 2})
-	if len(nbs) != 1 || nbs[0] != 3 {
-		t.Errorf("neighbors = %v, want [3]", nbs)
+	if n := w.verts.clusterCounts(graph.Edge{Src: 1, Dst: 2}, counts); n != 1 || counts[0] != 0 || counts[1] != 1 {
+		t.Errorf("|N| = %d, counts = %v, want 1 neighbour (3, on p1)", n, counts)
 	}
-	// Disconnected edge has no window neighbourhood.
-	if nbs := w.neighbors(graph.Edge{Src: 4, Dst: 5}); len(nbs) != 0 {
-		t.Errorf("neighbors = %v, want empty", nbs)
+	// Disconnected edge has no window neighbourhood beyond its endpoints.
+	if n := w.verts.clusterCounts(graph.Edge{Src: 4, Dst: 5}, counts); n != 0 {
+		t.Errorf("|N| = %d, want 0", n)
+	}
+	// An edge with one endpoint outside the window sees the other's
+	// neighbours: N(2) = {1, 3}.
+	if n := w.verts.clusterCounts(graph.Edge{Src: 2, Dst: 77}, counts); n != 2 || counts[1] != 1 {
+		t.Errorf("|N| = %d, counts = %v, want 2 neighbours, one on p1", n, counts)
 	}
 }
 
@@ -174,7 +181,8 @@ func TestWindowIncidentCompaction(t *testing.T) {
 	e2 := graph.Edge{Src: 1, Dst: 3}
 	w.add(e1)
 	w.add(e2)
-	// Pop both; incident lists must compact to empty on next access.
+	// Pop both; the vertex table must drop their entries and release the
+	// vertices' slots on removal.
 	for i := 0; i < 2; i++ {
 		e, p, _, ok := w.popBest()
 		if !ok {
@@ -182,11 +190,16 @@ func TestWindowIncidentCompaction(t *testing.T) {
 		}
 		sc.commit(e, p)
 	}
-	if live := w.iterIncident(1); len(live) != 0 {
+	if live := w.verts.incident(1); len(live) != 0 {
 		t.Errorf("incident(1) = %d live entries after removal", len(live))
 	}
-	if _, ok := w.incident[1]; ok {
-		t.Error("incident map entry for vertex 1 not deleted after compaction")
+	for _, v := range []graph.VertexID{1, 2, 3} {
+		if s := w.verts.slot(v); s >= 0 {
+			t.Errorf("vertex %d still holds slot %d after its last window edge left", v, s)
+		}
+	}
+	if w.verts.index.n != 0 || w.verts.pairs.n != 0 {
+		t.Errorf("table not empty: %d vertices, %d pairs", w.verts.index.n, w.verts.pairs.n)
 	}
 }
 
@@ -218,9 +231,10 @@ func TestWindowScoreSumConsistency(t *testing.T) {
 }
 
 // TestClusteringOffSkipsNeighbourhood pins that a run with the clustering
-// score off never collects a window neighbourhood: every scratch's dedup
-// set stays empty, and the assignment matches the fingerprint recorded
-// when the neighbourhood was still collected and discarded.
+// score off keeps no neighbourhood state: the vertex table holds incident
+// lists only — no pair, neighbour list, replica copy or count row — and
+// the assignment matches the fingerprint recorded when the neighbourhood
+// was still collected and discarded.
 func TestClusteringOffSkipsNeighbourhood(t *testing.T) {
 	edges := equivalenceGraph(t)[:30_000]
 	for _, workers := range []int{1, 2, 8} {
@@ -241,12 +255,9 @@ func TestClusteringOffSkipsNeighbourhood(t *testing.T) {
 		if got, want := fingerprint(a), uint64(0xb41264279a22826a); got != want {
 			t.Errorf("workers=%d: fingerprint %#016x, want %#016x", workers, got, want)
 		}
-		scratches := append([]*scoreScratch{ad.scorer.prime}, ad.win.pool.scratch...)
-		for i, scr := range scratches {
-			if len(scr.seenScratch) != 0 || len(scr.neighborScratch) != 0 {
-				t.Errorf("workers=%d scratch %d: neighbourhood collected with clustering off (seen=%d neighbours=%d)",
-					workers, i, len(scr.seenScratch), len(scr.neighborScratch))
-			}
+		if v := ad.scorer.verts; len(v.pairs.keys) != 0 || len(v.nbrs) != 0 || len(v.repl) != 0 || len(v.cnt) != 0 {
+			t.Errorf("workers=%d: neighbourhood state kept with clustering off (pairs=%d nbrs=%d repl=%d cnt=%d)",
+				workers, len(v.pairs.keys), len(v.nbrs), len(v.repl), len(v.cnt))
 		}
 	}
 }

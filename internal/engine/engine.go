@@ -9,8 +9,8 @@
 // synchronisation — the engine's only cross-partition traffic — costs
 // 2·(|Rv|−1) messages per synchronised vertex, which is precisely how the
 // replication degree produced by a partitioner turns into graph processing
-// latency. See DESIGN.md §2.4 and §3 for the substitution argument versus
-// the paper's 8-node cluster.
+// latency. See ARCHITECTURE.md "Evaluation substrate" for the
+// substitution argument versus the paper's 8-node cluster.
 package engine
 
 import (

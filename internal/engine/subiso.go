@@ -9,7 +9,8 @@ import (
 // CycleSearchConfig configures one subgraph-isomorphism search for circles
 // (simple cycles) of a fixed length — the Figure 7d workload. The paper
 // searches the Brain graph for circles of lengths 19/15/21; the
-// reproduction uses shorter lengths at its reduced scale (DESIGN.md §3).
+// reproduction uses shorter lengths at its reduced scale (ARCHITECTURE.md
+// "Evaluation substrate").
 type CycleSearchConfig struct {
 	// Length is the circle length to search for (number of edges).
 	Length int

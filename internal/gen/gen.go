@@ -4,8 +4,8 @@
 // Table II) that differ chiefly in their clustering coefficient ĉ (0.04,
 // 0.51, 0.82). Those datasets are not redistributable here, so this package
 // provides generators whose outputs occupy the same regimes: power-law
-// degree distributions with tunable clustering. See DESIGN.md §3 for the
-// substitution argument.
+// degree distributions with tunable clustering. See ARCHITECTURE.md
+// "Evaluation substrate" for the substitution argument.
 //
 // All generators are deterministic for a given seed.
 package gen

@@ -11,9 +11,9 @@ type Preset string
 
 // The three evaluation graphs of the paper (Table II), reproduced as
 // synthetic stand-ins at a configurable scale. Scale 1.0 corresponds to the
-// default laptop-friendly sizes documented in DESIGN.md §3; the shapes
-// (degree skew, clustering regime) rather than the absolute sizes carry the
-// experiments.
+// default laptop-friendly sizes (ARCHITECTURE.md "Evaluation substrate");
+// the shapes (degree skew, clustering regime) rather than the absolute
+// sizes carry the experiments.
 const (
 	// PresetOrkut mimics the Orkut social network: power-law degrees with a
 	// very low clustering coefficient (paper: ĉ=0.0413).

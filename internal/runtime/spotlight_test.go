@@ -454,10 +454,15 @@ func skewedSegments(t testing.TB, z, denseEdges int) []stream.Stream {
 func runSkewed(t *testing.T, streams []stream.Stream, cfg SpotlightConfig, workers int) (*metrics.Assignment, []Stats) {
 	t.Helper()
 	a, stats, err := RunSpotlightStreamsStats(streams, cfg, func(i int, allowed []int) (Runner, error) {
+		// The window sets the size of a scoring pass. At 1024 a dense-
+		// segment pass keeps each of its shards busy long enough for an
+		// idle pool worker to be scheduled and steal one, even while other
+		// test binaries load the CPUs; at 256, with the clustering score
+		// read from maintained counts, shards end in tens of microseconds.
 		return New("adwise", Spec{
 			K:            cfg.K,
 			Allowed:      allowed,
-			Window:       256,
+			Window:       1024,
 			Seed:         uint64(i),
 			ScoreWorkers: workers,
 		})
